@@ -705,7 +705,7 @@ def main() -> None:
                          "--parity-out; default sf dir is sf0.01")
     ap.add_argument("--parity-out",
                     default=str(Path(__file__).resolve().parent
-                                / "PARITY_r05.json"))
+                                / "PARITY_r06.json"))
     args = ap.parse_args()
 
     if args.child_extract:

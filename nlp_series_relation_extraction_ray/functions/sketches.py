@@ -346,6 +346,17 @@ def hist_quantile(counts: np.ndarray, q: float, lo: float, hi: float) -> float:
     return lo + (hi - lo) * (b + 1) / len(counts)
 
 
+def _value_ranges(ds):
+    """(event_type, lo, hi): exact per-type value range, a two-phase
+    min/max over O(#types) partial rows."""
+    from .grouping import two_phase_agg
+
+    return two_phase_agg(
+        ds, "event_type", {"lo": ("value", "min"), "hi": ("value", "max")},
+        small=True,
+    ).to_pandas()
+
+
 def events_value_quantiles_hist(sf_dir: str, bins: int = HIST_BINS):
     """Approximate per-type value quantiles (p50/p90/p99) via a mergeable
     fixed-histogram sketch — the constant-shuffle counterpart of the exact
@@ -368,18 +379,7 @@ def events_value_quantiles_hist(sf_dir: str, bins: int = HIST_BINS):
     )
 
     # pass 1: per-type exact range — partials are O(#types) rows
-    def range_partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("event_type", as_index=False)["value"].agg(
-            ["min", "max"]
-        )
-        return g.reset_index() if "event_type" not in g.columns else g
-
-    ranges = (
-        ds.map_batches(range_partial, batch_format="pandas")
-        .to_pandas()
-        .groupby("event_type", as_index=False)
-        .agg(lo=("min", "min"), hi=("max", "max"))
-    )
+    ranges = _value_ranges(ds)
     range_ref = ray.put(
         {r.event_type: (float(r.lo), float(r.hi))
          for r in ranges.itertuples(index=False)}
@@ -500,34 +500,15 @@ def docs_top_tokens_mg_check(sf_dir: str, counters: int = 256):
     import pandas as pd
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray
 
-    from .grouping import bucketed_group_apply
+    from .grouping import text_tokens, two_phase_agg
 
     ds = read_parquet_clean(
         f"{sf_dir}/documents.parquet", columns=["text"]
     )
 
-    def cnt_partial(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for t in batch["text"].to_pylist():
-            c.update(t.split(" "))
-        return pa.Table.from_pydict(
-            {
-                "token": pa.array(list(c.keys()), pa.string()),
-                "cnt": pa.array(list(c.values()), pa.int64()),
-            }
-        )
-
-    def cnt_merge(df):
-        out = df.groupby("token", as_index=False)["cnt"].sum()
-        out["cnt"] = out["cnt"].astype("int64")
-        return out
-
-    counts = bucketed_group_apply(
-        ds.map_batches(cnt_partial, batch_format="pyarrow"),
-        "token", cnt_merge,
-    ).materialize()
+    counts = two_phase_agg(ds, "token", {"cnt": ("token", "count")},
+                           prep=text_tokens).materialize()
     agg = counts.sum("cnt")
     n = int(agg) if not isinstance(agg, dict) else int(agg["sum(cnt)"])
     thresh = n / (counters + 1)
@@ -586,7 +567,6 @@ def events_value_quantiles_hist_check(sf_dir: str, bins: int = HIST_BINS):
     reduce (which reports integer cents — the 0.005 rounding slack is added
     to the bound).  Both inputs are #event_type-sized results."""
     import pandas as pd
-    import ray
 
     from ..pipelines.relational import events_type_quantiles
 
@@ -598,18 +578,7 @@ def events_value_quantiles_hist_check(sf_dir: str, bins: int = HIST_BINS):
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
     )
 
-    def range_partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("event_type", as_index=False)["value"].agg(
-            ["min", "max"]
-        )
-        return g.reset_index() if "event_type" not in g.columns else g
-
-    ranges = (
-        ds.map_batches(range_partial, batch_format="pandas")
-        .to_pandas()
-        .groupby("event_type", as_index=False)
-        .agg(lo=("min", "min"), hi=("max", "max"))
-    )
+    ranges = _value_ranges(ds)
     m = approx.merge(exact, on="event_type").merge(ranges, on="event_type")
     width = (m["hi"] - m["lo"]) / bins
     slack = width + 0.005 + 1e-9  # bin width + cents rounding

@@ -56,14 +56,10 @@ def reconstruct_conversations(transcripts_ds):
     )
 
 
-def kg_nodes(triples_ds, alias_index_ref=None, concurrency=None):
+def kg_nodes(triples_ds, alias_index_ref=None):
     """Triples -> canonical node table (link + salted canonicalization)."""
-    import ray
-
     from ..stages.canonicalize import canonicalize_nodes
-    from ..stages.linking import EntityLinker, mentions_from_triples
-
-    from ..stages.linking import task_link  # noqa: F401
+    from ..stages.linking import mentions_from_triples, task_link
 
     mentions = triples_ds.map_batches(
         mentions_from_triples, batch_format="pyarrow"
@@ -77,12 +73,10 @@ def kg_nodes(triples_ds, alias_index_ref=None, concurrency=None):
     return canonicalize_nodes(linked)
 
 
-def kg_edges(triples_ds, alias_index_ref=None, concurrency=None):
+def kg_edges(triples_ds, alias_index_ref=None):
     from ..stages.graph import materialize_edges
 
-    return materialize_edges(
-        triples_ds, alias_index_ref=alias_index_ref, concurrency=concurrency
-    )
+    return materialize_edges(triples_ds, alias_index_ref=alias_index_ref)
 
 
 def build_kg(transcripts_ds, head: str = "baseline", out_dir: str | None = None):
@@ -201,33 +195,29 @@ def kg_node_degrees(edges_ds):
     table is queryable as a graph.  Shape: map-side partials (one row per
     entity per batch) + one hash-bucketed vectorized reduce; entity
     cardinality never concentrates on a single reducer."""
-    import pyarrow as pa
+    from ..functions.grouping import two_phase_agg
 
-    from ..functions.grouping import bucketed_group_apply
+    def endpoint_rows(df: pd.DataFrame) -> pd.DataFrame:
+        # one row per edge endpoint: the src row carries the out-degree
+        # terms, the dst row the in-degree terms
+        one = np.ones(len(df), dtype=np.int64)
+        zero = np.zeros(len(df), dtype=np.int64)
+        w = df["weight"].to_numpy(dtype=np.int64)
+        return pd.DataFrame({
+            "entity_id": np.concatenate([df["src_id"].to_numpy(),
+                                         df["dst_id"].to_numpy()]),
+            "out_degree": np.concatenate([one, zero]),
+            "out_weight": np.concatenate([w, zero]),
+            "in_degree": np.concatenate([zero, one]),
+            "in_weight": np.concatenate([zero, w]),
+        })
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        out = df.groupby("src_id").agg(
-            out_degree=("dst_id", "size"), out_weight=("weight", "sum")
-        ).reset_index().rename(columns={"src_id": "entity_id"})
-        inn = df.groupby("dst_id").agg(
-            in_degree=("src_id", "size"), in_weight=("weight", "sum")
-        ).reset_index().rename(columns={"dst_id": "entity_id"})
-        merged = out.merge(inn, on="entity_id", how="outer").fillna(0)
-        return pa.Table.from_pandas(merged, preserve_index=False)
-
-    partials = edges_ds.map_batches(partial, batch_format="pyarrow")
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        # vectorized over every entity in the hash bucket
-        out = df.groupby("entity_id", as_index=False)[
-            ["out_degree", "out_weight", "in_degree", "in_weight"]
-        ].sum()
-        for c in ("out_degree", "out_weight", "in_degree", "in_weight"):
-            out[c] = out[c].astype("int64")
-        return out
-
-    return bucketed_group_apply(partials, "entity_id", merge)
+    return two_phase_agg(
+        edges_ds, "entity_id",
+        {c: (c, "sum") for c in ("out_degree", "out_weight", "in_degree",
+                                 "in_weight")},
+        prep=endpoint_rows,
+    )
 
 
 def _local_triangles(pdf: pd.DataFrame):
@@ -267,6 +257,18 @@ def _local_triangles(pdf: pd.DataFrame):
     return ray.data.from_pandas(out)
 
 
+def _pair_degrees(pairs_ds):
+    """(node, deg) over a canonical undirected pair table (u, v)."""
+    from ..functions.grouping import two_phase_agg
+
+    def endpoints(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
+            {"node": pd.concat([df["u"], df["v"]], ignore_index=True)})
+
+    return two_phase_agg(pairs_ds, "node", {"deg": ("node", "count")},
+                         prep=endpoints)
+
+
 def kg_triangles(edges_ds, small_edge_limit: int = 2_000_000):
     """Per-node triangle counts over the undirected KG entity graph —
     degree-ordered distributed triangle enumeration.
@@ -298,7 +300,7 @@ def kg_triangles(edges_ds, small_edge_limit: int = 2_000_000):
     list (identical algorithm and output), above it the full 6-stage
     distributed plan runs.
     """
-    from ..functions.grouping import bucketed_group_apply
+    from ..functions.grouping import bucketed_group_apply, two_phase_agg
     from ..functions.joins import shuffle_join
 
     def to_pairs(df: pd.DataFrame) -> pd.DataFrame:
@@ -320,21 +322,7 @@ def kg_triangles(edges_ds, small_edge_limit: int = 2_000_000):
     if pairs.count() <= small_edge_limit:
         return _local_triangles(pairs.to_pandas())
 
-    def deg_partial(df: pd.DataFrame) -> pd.DataFrame:
-        nodes = pd.concat([df["u"], df["v"]], ignore_index=True)
-        out = nodes.value_counts().rename_axis("node").reset_index(name="deg")
-        out["deg"] = out["deg"].astype("int64")
-        return out
-
-    def deg_merge(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("node", as_index=False)["deg"].sum()
-        out["deg"] = out["deg"].astype("int64")
-        return out
-
-    deg = bucketed_group_apply(
-        pairs.map_batches(deg_partial, batch_format="pandas"), "node",
-        deg_merge,
-    )
+    deg = _pair_degrees(pairs)
 
     # attach both endpoint degrees (two shuffle joins against the degree
     # table — NOT a broadcast: entity cardinality is corpus-scale)
@@ -417,13 +405,8 @@ def kg_triangles(edges_ds, small_edge_limit: int = 2_000_000):
         return out
 
     matched = bucketed_group_apply(tagged, ["a", "b"], match)
-
-    def node_merge(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("node", as_index=False)["n_triangles"].sum()
-        out["n_triangles"] = out["n_triangles"].astype("int64")
-        return out
-
-    return bucketed_group_apply(matched, "node", node_merge)
+    return two_phase_agg(matched, "node",
+                         {"n_triangles": ("n_triangles", "sum")})
 
 
 def kg_pagerank(edges_ds, damping: float = 0.85, n_iter: int = 5,
@@ -1011,21 +994,7 @@ def kg_kcore(edges_ds, small_edge_limit: int = 2_000_000):
     k = 1
     while alive:
         # degrees of the active simple graph (node-bounded output)
-        def deg_partial(df: pd.DataFrame) -> pd.DataFrame:
-            s = pd.concat([df["u"], df["v"]], ignore_index=True)
-            out = s.value_counts().rename_axis("node").reset_index(
-                name="deg")
-            return out
-
-        def deg_merge(df: pd.DataFrame) -> pd.DataFrame:
-            out = df.groupby("node", as_index=False)["deg"].sum()
-            out["deg"] = out["deg"].astype("int64")
-            return out
-
-        deg_df = bucketed_group_apply(
-            active.map_batches(deg_partial, batch_format="pandas"),
-            "node", deg_merge,
-        ).to_pandas()
+        deg_df = _pair_degrees(active).to_pandas()
         deg = dict(zip(deg_df["node"], deg_df["deg"]))
         low = {n for n in alive if deg.get(n, 0) < k}
         if not low:

@@ -37,6 +37,8 @@ _Q1_CUTOFF = np.datetime64("1998-09-03")  # l_shipdate < this
 
 
 def q1_pricing_summary(sf_dir: str):
+    from ..functions.grouping import two_phase_agg
+
     ds = _read(
         sf_dir,
         "lineitem",
@@ -46,61 +48,32 @@ def q1_pricing_summary(sf_dir: str):
         ],
     )
 
-    # typed schema for empty partials: a fully-filtered batch must carry the
-    # same block schema as non-empty ones (null-typed [] columns would make
-    # heterogeneous blocks feed the groupby)
-    partial_schema = pa.schema(
-        [
-            ("l_returnflag", pa.string()),
-            ("l_linestatus", pa.string()),
-            ("sum_qty", pa.int64()),
-            ("sum_base_cents", pa.int64()),
-            ("sum_disc_cents", pa.int64()),
-            ("sum_charge_cents", pa.int64()),
-            ("count_order", pa.int64()),
-        ]
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
+    def prep(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df["l_shipdate"].to_numpy() < _Q1_CUTOFF]
-        if df.empty:
-            return partial_schema.empty_table()
         price = df["l_extendedprice"].to_numpy()
         disc = df["l_discount"].to_numpy()
         tax = df["l_tax"].to_numpy()
-        df = df.assign(
+        return df.assign(
             # round-to-nearest like the SQL CAST(l_quantity AS BIGINT):
             # plain astype truncates toward zero and only agrees on
             # integral TPC-H quantities
-            sum_qty=np.rint(df["l_quantity"].to_numpy()).astype(np.int64),
-            sum_base_cents=cents(price),
-            sum_disc_cents=cents(price * (1.0 - disc)),
-            sum_charge_cents=cents(price * (1.0 - disc) * (1.0 + tax)),
-            count_order=1,
+            qty=np.rint(df["l_quantity"].to_numpy()).astype(np.int64),
+            base_cents=cents(price),
+            disc_cents=cents(price * (1.0 - disc)),
+            charge_cents=cents(price * (1.0 - disc) * (1.0 + tax)),
         )
-        g = (
-            df.groupby(["l_returnflag", "l_linestatus"], as_index=False)[
-                ["sum_qty", "sum_base_cents", "sum_disc_cents",
-                 "sum_charge_cents", "count_order"]
-            ].sum()
-        )
-        return table_from_pandas(g, preserve_index=False)
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.iloc[:1][["l_returnflag", "l_linestatus"]].copy()
-        for c in ("sum_qty", "sum_base_cents", "sum_disc_cents",
-                  "sum_charge_cents", "count_order"):
-            out[c] = int(df[c].sum())
-        return out
-
-    from ..functions.grouping import coalesced_group_apply
 
     # partials are #batches × 6 rows: single-block final, no sort shuffle
-    return coalesced_group_apply(
-        partials, ["l_returnflag", "l_linestatus"], merge
+    return two_phase_agg(
+        ds, ["l_returnflag", "l_linestatus"],
+        {
+            "sum_qty": ("qty", "sum"),
+            "sum_base_cents": ("base_cents", "sum"),
+            "sum_disc_cents": ("disc_cents", "sum"),
+            "sum_charge_cents": ("charge_cents", "sum"),
+            "count_order": ("qty", "count"),
+        },
+        prep=prep, small=True,
     )
 
 
@@ -301,23 +274,14 @@ def suppliers_per_region(sf_dir: str):
         region, left_on="n_regionkey", right_on="r_regionkey",
     ).select_columns(["r_name", "n_name", "s_suppkey"])
 
+    from ..functions.grouping import two_phase_agg
+
     # map-side partial count, then a single-block final merge: the shuffle
     # carries #batches × #(region, nation) partial rows — never a supplier
     # row — and a 25-group final needs no sort all-to-all
-    def partial_count(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(["r_name", "n_name"], as_index=False).agg(
-            n_suppliers=("s_suppkey", "size")
-        )
-
-    def final_count(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(["r_name", "n_name"], as_index=False)[
-            "n_suppliers"
-        ].sum()
-
-    return (
-        with_region.map_batches(partial_count, batch_format="pandas")
-        .repartition(1)
-        .map_batches(final_count, batch_format="pandas", batch_size=None)
+    return two_phase_agg(
+        with_region, ["r_name", "n_name"],
+        {"n_suppliers": ("s_suppkey", "count")}, small=True,
     )
 
 
@@ -391,34 +355,24 @@ FROM events GROUP BY user_id
 
 
 def parts_brand_stats(sf_dir: str):
+    from ..functions.grouping import two_phase_agg
+
     ds = _read(sf_dir, "part",
                columns=["p_brand", "p_size", "p_retailprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df.assign(retail_cents=cents(df["p_retailprice"].to_numpy()))
-        g = df.groupby("p_brand").agg(
-            n_parts=("p_brand", "size"),
-            sum_retail_cents=("retail_cents", "sum"),
-            max_size=("p_size", "max"),
-        ).reset_index()
-        return table_from_pandas(g, preserve_index=False)
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "p_brand": [df["p_brand"].iloc[0]],
-                "n_parts": [int(df["n_parts"].sum())],
-                "sum_retail_cents": [int(df["sum_retail_cents"].sum())],
-                "max_size": [int(df["max_size"].max())],
-            }
-        )
-
-    from ..functions.grouping import coalesced_group_apply
-
     # 25 brands × #batches partial rows: single-block final
-    return coalesced_group_apply(
-        ds.map_batches(partial, batch_format="pyarrow"), "p_brand", merge
+    return two_phase_agg(
+        ds, "p_brand",
+        {
+            "n_parts": ("p_brand", "count"),
+            "sum_retail_cents": ("retail_cents", "sum"),
+            "max_size": ("p_size", "max"),
+        },
+        prep=lambda df: df.assign(
+            retail_cents=cents(df["p_retailprice"].to_numpy()),
+            p_size=df["p_size"].astype("int64"),  # the oracle's BIGINT MAX
+        ),
+        small=True,
     )
 
 
@@ -496,34 +450,11 @@ def docs_top_tokens(sf_dir: str, k: int = 20):
     every document this is the difference between shuffling O(corpus) and
     O(vocab x blocks).
     """
-    import ray
+    from ..functions.grouping import text_tokens, two_phase_agg
 
     ds = _read(sf_dir, "documents", columns=["text"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        from collections import Counter
-
-        c: Counter = Counter()
-        for t in batch["text"].to_pylist():
-            c.update(t.split(" "))
-        return pa.Table.from_pydict(
-            {
-                "token": pa.array(list(c.keys()), pa.string()),
-                "cnt": pa.array(list(c.values()), pa.int64()),
-            }
-        )
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        # vectorized over the whole vocab slice in this bucket
-        out = df.groupby("token", as_index=False)["cnt"].sum()
-        out["cnt"] = out["cnt"].astype("int64")
-        return out
-
-    from ..functions.grouping import bucketed_group_apply
-
-    counts = bucketed_group_apply(partials, "token", merge)
+    counts = two_phase_agg(ds, "token", {"cnt": ("token", "count")},
+                           prep=text_tokens)
     return counts.sort(["cnt", "token"], descending=[True, False]).limit(k)
 
 
@@ -925,35 +856,17 @@ def events_window_counts(sf_dir: str):
     #event_types × #hours, not #events — at 100 TB (~10¹² events over a
     year) that is ~40k groups, a trivial reduce.
     """
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
+    from ..functions.grouping import two_phase_agg
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df.assign(
+    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
+    return two_phase_agg(
+        ds, ["event_type", "window_start"],
+        {"n_events": ("value_cents", "count"),
+         "value_cents": ("value_cents", "sum")},
+        prep=lambda df: df.assign(
             window_start=df["ts"].dt.floor("h"),
             value_cents=cents(df["value"].to_numpy()),
-        )
-        g = df.groupby(["event_type", "window_start"], as_index=False).agg(
-            n_events=("value_cents", "size"),
-            value_cents=("value_cents", "sum"),
-        )
-        return table_from_pandas(g, preserve_index=False)
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby(["event_type", "window_start"], as_index=False).agg(
-            n_events=("n_events", "sum"),
-            value_cents=("value_cents", "sum"),
-        )
-        for c in ("n_events", "value_cents"):
-            out[c] = out[c].astype("int64")
-        return out
-
-    from ..functions.grouping import bucketed_group_apply
-
-    return bucketed_group_apply(
-        partials, ["event_type", "window_start"], merge
+        ),
     )
 
 
@@ -1022,32 +935,26 @@ def orders_priority_exists(sf_dir: str, returnflag: str = "R"):
     qual = line.map_batches(qual_markers, batch_format="pyarrow")
     ords = orders.map_batches(order_rows, batch_format="pyarrow")
 
+    return _exists_priority_counts(qual, ords)
+
+
+def _exists_priority_counts(qual, ords):
+    """(o_orderpriority, n_orders) over the union of qualifying-lineitem
+    markers (``is_line`` 1) and order rows (``is_line`` 0), both keyed by
+    ``okey``: one bucketed EXISTS reduce pre-counts the surviving orders'
+    priorities per bucket, then a single-block final sums the
+    5 priorities × #buckets pre-counts."""
+    from ..functions.grouping import bucketed_group_apply, two_phase_agg
+
     def exists_reduce(df: pd.DataFrame) -> pd.DataFrame:
         present = df.loc[df["is_line"] == 1, "okey"].unique()
         o = df[df["is_line"] == 0]
-        o = o[o["okey"].isin(present)]
-        out = o.groupby("o_orderpriority", as_index=False).agg(
-            n_orders=("okey", "size")
-        )
-        out["n_orders"] = out["n_orders"].astype("int64")
-        return out
-
-    from ..functions.grouping import bucketed_group_apply
+        return o[o["okey"].isin(present)].groupby(
+            "o_orderpriority", as_index=False).agg(n_orders=("okey", "size"))
 
     per_bucket = bucketed_group_apply(qual.union(ords), "okey", exists_reduce)
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "o_orderpriority": [df["o_orderpriority"].iloc[0]],
-                "n_orders": [int(df["n_orders"].sum())],
-            }
-        )
-
-    from ..functions.grouping import coalesced_group_apply
-
-    # 5 priorities x #buckets pre-counts: single-block final
-    return coalesced_group_apply(per_bucket, "o_orderpriority", final)
+    return two_phase_agg(per_bucket, "o_orderpriority",
+                         {"n_orders": ("n_orders", "sum")}, small=True)
 
 
 PRIORITY_EXISTS_SQL = """
@@ -1073,32 +980,17 @@ def custs_no_urgent_order(sf_dir: str):
     so a broadcast anti-join would not survive 100 TB; this is the
     union-shuffle form.
     """
+    from ..functions.grouping import two_phase_agg
+
     ds = _read(sf_dir, "orders", columns=["o_custkey", "o_orderpriority"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        urgent = (df["o_orderpriority"] == "1-URGENT").to_numpy()
-        g = df.assign(
-            n_orders=np.ones(len(df), dtype=np.int64),
-            n_urgent=urgent.astype("int64"),
-        ).groupby("o_custkey", as_index=False)[["n_orders", "n_urgent"]].sum()
-        return table_from_pandas(g, preserve_index=False)
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("o_custkey", as_index=False)[
-            ["n_orders", "n_urgent"]
-        ].sum()
-        g = g[g["n_urgent"] == 0]
-        out = g[["o_custkey", "n_orders"]].copy()
-        out["o_custkey"] = out["o_custkey"].astype("int64")
-        out["n_orders"] = out["n_orders"].astype("int64")
-        return out
-
-    from ..functions.grouping import bucketed_group_apply
-
-    return bucketed_group_apply(partials, "o_custkey", merge)
+    return two_phase_agg(
+        ds, "o_custkey",
+        {"n_orders": ("o_custkey", "count"),
+         "n_urgent": ("urgent", "sum")},
+        prep=lambda df: df.assign(
+            urgent=(df["o_orderpriority"] == "1-URGENT").astype("int64")),
+        having=lambda g: g["n_urgent"] == 0,
+    ).drop_columns(["n_urgent"])
 
 
 NO_URGENT_SQL = """
@@ -1186,41 +1078,25 @@ def events_hopping_counts(sf_dir: str):
     ~160k groups/year at 10¹² events) — the explode multiplies the partial
     COUNTS, never the event rows.
     """
+    from ..functions.grouping import two_phase_agg
+
     ds = _read(sf_dir, "events", columns=["event_type", "ts"])
     hop = pd.Timedelta(minutes=15)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        base = df["ts"].dt.floor("15min")
-        # explode each event to its 4 covering windows, vectorized
-        n = len(df)
-        starts = (
-            np.repeat(base.to_numpy(), 4)
-            - np.tile(np.arange(4), n) * hop.to_timedelta64()
-        )
-        g = pd.DataFrame(
+    def explode_windows(df: pd.DataFrame) -> pd.DataFrame:
+        # each event to its 4 covering windows, vectorized
+        base = df["ts"].dt.floor("15min").to_numpy()
+        return pd.DataFrame(
             {
                 "event_type": np.repeat(df["event_type"].to_numpy(), 4),
-                "window_start": starts,
+                "window_start": np.repeat(base, 4)
+                - np.tile(np.arange(4), len(df)) * hop.to_timedelta64(),
             }
-        ).groupby(["event_type", "window_start"], as_index=False).agg(
-            n_events=("window_start", "size")
         )
-        return table_from_pandas(g, preserve_index=False)
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby(["event_type", "window_start"], as_index=False).agg(
-            n_events=("n_events", "sum")
-        )
-        out["n_events"] = out["n_events"].astype("int64")
-        return out
-
-    from ..functions.grouping import bucketed_group_apply
-
-    return bucketed_group_apply(
-        partials, ["event_type", "window_start"], merge
+    return two_phase_agg(
+        ds, ["event_type", "window_start"],
+        {"n_events": ("window_start", "count")}, prep=explode_windows,
     )
 
 
@@ -1517,34 +1393,13 @@ def events_type_quantiles(sf_dir: str):
     integer arithmetic).  At 10¹² events the shuffle moves #distinct-cents
     × #types rows (~10⁶), never the events.
     """
-    from ..functions.grouping import bucketed_group_apply
+    from ..functions.grouping import coalesced_group_apply, two_phase_agg
 
     ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = pd.DataFrame(
-            {
-                "event_type": df["event_type"],
-                "value_cents": cents(df["value"].to_numpy()),
-            }
-        ).groupby(["event_type", "value_cents"], as_index=False).agg(
-            cnt=("value_cents", "size")
-        )
-        g["cnt"] = g["cnt"].astype("int64")
-        return table_from_pandas(g, preserve_index=False)
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-
-    def merge_counts(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby(["event_type", "value_cents"], as_index=False).agg(
-            cnt=("cnt", "sum")
-        )
-        out["cnt"] = out["cnt"].astype("int64")
-        return out
-
-    dist = bucketed_group_apply(
-        partials, ["event_type", "value_cents"], merge_counts
+    dist = two_phase_agg(
+        ds, ["event_type", "value_cents"],
+        {"cnt": ("value_cents", "count")},
+        prep=lambda df: df.assign(value_cents=cents(df["value"].to_numpy())),
     )
 
     def quantiles(df: pd.DataFrame) -> pd.DataFrame:
@@ -1558,8 +1413,6 @@ def events_type_quantiles(sf_dir: str):
             idx = (n * num + den - 1) // den - 1  # ceil(q*n) - 1, exact
             row[name] = [int(vals[np.searchsorted(cum, idx + 1)])]
         return pd.DataFrame(row)
-
-    from ..functions.grouping import coalesced_group_apply
 
     # merged distribution is #distinct-cents x #types rows (bounded by
     # value precision): single-block final walks each type's cumulative
@@ -1666,32 +1519,7 @@ def orders_priority_exists_bloom(sf_dir: str, returnflag: str = "R",
     qual = line.map_batches(qual_markers, batch_format="pyarrow")
     ords = orders.map_batches(order_rows_pruned, batch_format="pyarrow")
 
-    def exists_reduce(df: pd.DataFrame) -> pd.DataFrame:
-        present = df.loc[df["is_line"] == 1, "okey"].unique()
-        o = df[df["is_line"] == 0]
-        o = o[o["okey"].isin(present)]
-        out = o.groupby("o_orderpriority", as_index=False).agg(
-            n_orders=("okey", "size")
-        )
-        out["n_orders"] = out["n_orders"].astype("int64")
-        return out
-
-    from ..functions.grouping import bucketed_group_apply
-
-    per_bucket = bucketed_group_apply(qual.union(ords), "okey", exists_reduce)
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "o_orderpriority": [df["o_orderpriority"].iloc[0]],
-                "n_orders": [int(df["n_orders"].sum())],
-            }
-        )
-
-    from ..functions.grouping import coalesced_group_apply
-
-    # 5 priorities x #buckets pre-counts: single-block final
-    return coalesced_group_apply(per_bucket, "o_orderpriority", final)
+    return _exists_priority_counts(qual, ords)
 
 
 # the Bloom pre-filter is an exact-result optimization: same oracle
@@ -1893,49 +1721,33 @@ def docs_lang_source_rollup(sf_dir: str):
     NULL rollup markers are materialized as the 'ALL' sentinel on both the
     Ray and SQL sides (COALESCE), keeping the hash compare exact.
     """
-    import ray
+    return _lang_source_grouping_sets(
+        sf_dir, [("lang", "source"), ("lang",), ()]
+    )
 
-    from ..functions.grouping import bucketed_group_apply
+
+def _lang_source_grouping_sets(sf_dir: str, levels):
+    """(lang, source, n_docs, total_chars) over GROUPING SETS ``levels``:
+    each document row is repeated once per level map-side, with the
+    columns a level rolls up set to 'ALL', so every level merges in the
+    same (lang, source)-keyed combiner and shuffle."""
+    from ..functions.grouping import two_phase_agg
 
     ds = _read_clean(
         f"{sf_dir}/documents.parquet", columns=["lang", "source", "n_chars"]
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        leaf = df.groupby(["lang", "source"], as_index=False).agg(
-            n_docs=("n_chars", "size"), total_chars=("n_chars", "sum")
+    def per_level(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.concat(
+            [df.assign(**{c: "ALL" for c in ("lang", "source")
+                          if c not in kept}) for kept in levels],
+            ignore_index=True,
         )
-        per_lang = leaf.groupby("lang", as_index=False)[
-            ["n_docs", "total_chars"]
-        ].sum()
-        per_lang["source"] = "ALL"
-        grand = pd.DataFrame(
-            {
-                "lang": ["ALL"],
-                "source": ["ALL"],
-                "n_docs": [leaf["n_docs"].sum()],
-                "total_chars": [leaf["total_chars"].sum()],
-            }
-        )
-        out = pd.concat([leaf, per_lang, grand], ignore_index=True)[
-            ["lang", "source", "n_docs", "total_chars"]
-        ]
-        out["n_docs"] = out["n_docs"].astype("int64")
-        out["total_chars"] = out["total_chars"].astype("int64")
-        return table_from_pandas(out, preserve_index=False)
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby(["lang", "source"], as_index=False)[
-            ["n_docs", "total_chars"]
-        ].sum()
-        out["n_docs"] = out["n_docs"].astype("int64")
-        out["total_chars"] = out["total_chars"].astype("int64")
-        return out
-
-    return bucketed_group_apply(
-        ds.map_batches(partial, batch_format="pyarrow"), ["lang", "source"],
-        merge,
+    return two_phase_agg(
+        ds, ["lang", "source"],
+        {"n_docs": ("n_chars", "count"), "total_chars": ("n_chars", "sum")},
+        prep=per_level,
     )
 
 
@@ -1995,7 +1807,9 @@ def docs_tfidf_terms(sf_dir: str, k: int = 3,
         ).metadata.num_rows
         heavy_df_threshold = max(2, n_docs // 200)
 
-    from ..functions.grouping import bucketed_group_apply
+    from ..functions.grouping import (
+        bucketed_group_apply, text_tokens, two_phase_agg,
+    )
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -2019,27 +1833,10 @@ def docs_tfidf_terms(sf_dir: str, k: int = 3,
             }
         )
 
-    def df_partial(batch: pa.Table) -> pa.Table:
-        from collections import Counter
-
-        c: Counter = Counter()
-        for t in batch["text"].to_pylist():
-            c.update(set(t.split(" ")))
-        return pa.Table.from_pydict(
-            {
-                "token": pa.array(list(c.keys()), pa.string()),
-                "df": pa.array(list(c.values()), pa.int64()),
-            }
-        )
-
-    def df_merge(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("token", as_index=False)["df"].sum()
-        out["df"] = out["df"].astype("int64")
-        return out
-
     tf_ds = ds.map_batches(tf_rows, batch_format="pyarrow")
-    df_tbl = bucketed_group_apply(
-        ds.map_batches(df_partial, batch_format="pyarrow"), "token", df_merge
+    df_tbl = two_phase_agg(
+        ds, "token", {"df": ("token", "count")},
+        prep=lambda df: text_tokens(df, distinct=True),
     ).materialize()
 
     import pyarrow.compute as pc
@@ -2237,53 +2034,8 @@ def docs_lang_source_cube(sf_dir: str):
     :func:`docs_lang_source_rollup`, plus the (ALL, source) level ROLLUP
     cannot express.  Still one bucketed merge over
     4 × (#langs × #sources) partial rows per batch."""
-    import ray
-
-    from ..functions.grouping import bucketed_group_apply
-
-    ds = _read_clean(
-        f"{sf_dir}/documents.parquet", columns=["lang", "source", "n_chars"]
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        leaf = df.groupby(["lang", "source"], as_index=False).agg(
-            n_docs=("n_chars", "size"), total_chars=("n_chars", "sum")
-        )
-        per_lang = leaf.groupby("lang", as_index=False)[
-            ["n_docs", "total_chars"]
-        ].sum()
-        per_lang["source"] = "ALL"
-        per_source = leaf.groupby("source", as_index=False)[
-            ["n_docs", "total_chars"]
-        ].sum()
-        per_source["lang"] = "ALL"
-        grand = pd.DataFrame(
-            {
-                "lang": ["ALL"],
-                "source": ["ALL"],
-                "n_docs": [leaf["n_docs"].sum()],
-                "total_chars": [leaf["total_chars"].sum()],
-            }
-        )
-        out = pd.concat(
-            [leaf, per_lang, per_source, grand], ignore_index=True
-        )[["lang", "source", "n_docs", "total_chars"]]
-        out["n_docs"] = out["n_docs"].astype("int64")
-        out["total_chars"] = out["total_chars"].astype("int64")
-        return table_from_pandas(out, preserve_index=False)
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby(["lang", "source"], as_index=False)[
-            ["n_docs", "total_chars"]
-        ].sum()
-        out["n_docs"] = out["n_docs"].astype("int64")
-        out["total_chars"] = out["total_chars"].astype("int64")
-        return out
-
-    return bucketed_group_apply(
-        ds.map_batches(partial, batch_format="pyarrow"), ["lang", "source"],
-        merge,
+    return _lang_source_grouping_sets(
+        sf_dir, [("lang", "source"), ("lang",), ("source",), ()]
     )
 
 
@@ -2327,19 +2079,11 @@ def events_retention(sf_dir: str):
         out["n_users"] = out["n_users"].astype("int64")
         return out
 
-    from ..functions.grouping import bucketed_group_apply
+    from ..functions.grouping import bucketed_group_apply, two_phase_agg
 
-    partials = bucketed_group_apply(ds, "user_id", per_user)
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby(["cohort_day", "day_offset"], as_index=False)[
-            "n_users"
-        ].sum()
-        out["n_users"] = out["n_users"].astype("int64")
-        return out
-
-    return bucketed_group_apply(
-        partials, ["cohort_day", "day_offset"], merge
+    return two_phase_agg(
+        bucketed_group_apply(ds, "user_id", per_user),
+        ["cohort_day", "day_offset"], {"n_users": ("n_users", "sum")},
     )
 
 
@@ -2377,33 +2121,16 @@ def q18_large_orders(sf_dir: str, min_qty: float = 300.0, k: int = 20):
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    from ..functions.grouping import bucketed_group_apply
+    from ..functions.grouping import empty_frame, two_phase_agg
 
     min_qty_cents = int(round(min_qty * 100))
 
     line = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
-
-    def qty_partial(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
-            {
-                "l_orderkey": df["l_orderkey"].astype("int64"),
-                "qty_cents": cents(df["l_quantity"].to_numpy()),
-            }
-        )
-        return out.groupby("l_orderkey", as_index=False).agg(
-            qty_cents=("qty_cents", "sum")
-        ).astype("int64")
-
-    def qty_merge(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("l_orderkey", as_index=False).agg(
-            qty_cents=("qty_cents", "sum")
-        ).astype("int64")
-        return g[g["qty_cents"] > min_qty_cents]  # HAVING, applied in-reduce
-
-    qualifying = bucketed_group_apply(
-        line.map_batches(qty_partial, batch_format="pandas"),
-        "l_orderkey",
-        qty_merge,
+    qualifying = two_phase_agg(
+        line, "l_orderkey", {"qty_cents": ("qty_cents", "sum")},
+        prep=lambda df: df.assign(
+            qty_cents=cents(df["l_quantity"].to_numpy())),
+        having=lambda g: g["qty_cents"] > min_qty_cents,
     )
 
     orders = _read(
@@ -2431,13 +2158,13 @@ def q18_large_orders(sf_dir: str, min_qty: float = 300.0, k: int = 20):
             ["total_cents", "l_orderkey"], ascending=[False, True]
         ).head(k)
 
-    ranked = (
-        joined.map_batches(topk_batch, batch_format="pandas")
-        .to_pandas()
-        .sort_values(["total_cents", "l_orderkey"],
-                     ascending=[False, True])
-        .head(k)
-    )
+    ranked = joined.map_batches(topk_batch, batch_format="pandas").to_pandas()
+    if len(ranked) == 0:  # no order clears the bar: the join emits nothing
+        return empty_frame({"o_orderkey": "int64", "o_custkey": "int64",
+                            "c_name": "object", "total_cents": "int64",
+                            "qty_cents": "int64"})
+    ranked = ranked.sort_values(["total_cents", "l_orderkey"],
+                                ascending=[False, True]).head(k)
 
     cust = pq.read_table(
         f"{sf_dir}/customer.parquet",
@@ -2658,27 +2385,17 @@ def parts_above_brand_avg(sf_dir: str):
     """
     import ray
 
+    from ..functions.grouping import two_phase_agg
+
     ds = _read(sf_dir, "part",
                columns=["p_partkey", "p_brand", "p_retailprice"])
-
-    def brand_partial(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
-            {
-                "p_brand": df["p_brand"],
-                "sum_cents": cents(df["p_retailprice"].to_numpy()),
-                "n": np.int64(1),
-            }
-        )
-        return out.groupby("p_brand", as_index=False).agg(
-            sum_cents=("sum_cents", "sum"), n=("n", "sum")
-        )
-
-    brand = (
-        ds.map_batches(brand_partial, batch_format="pandas")
-        .to_pandas()
-        .groupby("p_brand", as_index=False)
-        .agg(sum_cents=("sum_cents", "sum"), n=("n", "sum"))
-    )
+    brand = two_phase_agg(
+        ds, "p_brand",
+        {"sum_cents": ("price_cents", "sum"), "n": ("p_brand", "count")},
+        prep=lambda df: df.assign(
+            price_cents=cents(df["p_retailprice"].to_numpy())),
+        small=True,
+    ).to_pandas()
     bref = ray.put(
         {b: (int(s), int(n)) for b, s, n in
          zip(brand["p_brand"], brand["sum_cents"], brand["n"])}
@@ -2733,31 +2450,19 @@ def events_user_type_pivot(sf_dir: str):
     (user, batch) — #types integer columns — and the merge is a plain sum
     per user; at 10¹² events the exchange scales with users, not events.
     """
-    from ..functions.grouping import bucketed_group_apply, empty_frame
+    from ..functions.grouping import two_phase_agg
 
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
-    cols = [f"n_{t}" for t in _EVENT_TYPES]
-    out_spec = {c: "int64" for c in ["user_id"] + cols}
+    cols = {f"n_{t}": t for t in _EVENT_TYPES}
 
-    def pivot_partial(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:  # degenerate empty block: stable empty schema
-            return empty_frame(out_spec)
-        ct = pd.crosstab(df["user_id"], df["event_type"])
-        for t in _EVENT_TYPES:  # closed universe: absent types are zero
-            if t not in ct.columns:
-                ct[t] = 0
-        ct = ct[list(_EVENT_TYPES)].astype("int64")
-        ct.columns = cols
-        return ct.reset_index().astype({"user_id": "int64"})
+    def one_hot(df: pd.DataFrame) -> pd.DataFrame:
+        # closed type universe: one 0/1 column per type, absent types zero
+        et = df["event_type"]
+        return df[["user_id"]].assign(
+            **{c: (et == t).astype("int64") for c, t in cols.items()})
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("user_id", as_index=False)[cols].sum()
-        return out.astype({c: "int64" for c in ["user_id"] + cols})
-
-    return bucketed_group_apply(
-        ds.map_batches(pivot_partial, batch_format="pandas"),
-        "user_id", merge, empty_result=out_spec,
-    )
+    return two_phase_agg(ds, "user_id", {c: (c, "sum") for c in cols},
+                         prep=one_hot)
 
 
 USER_TYPE_PIVOT_SQL = f"""
@@ -2924,18 +2629,26 @@ PRICE_RANK_SQL = parts_price_rank_sql()
 # --- round 5: exact variance / set ops / range join / NTILE ---------------
 
 
+def _var_value(n: int, sc: int, sc2: int) -> float:
+    """Population variance in value units from exact (n, Σc, Σc²) cents
+    totals, in the oracle's double arithmetic: each total is cast to double
+    first, then ``(Σc² − Σc·Σc/n) / n / 10⁴`` left to right."""
+    return (float(sc2) - float(sc) * float(sc) / n) / n / 10000.0
+
+
 def events_type_stats_var(sf_dir: str):
-    """Exact per-type variance/stddev via decomposable (n, Σc, Σc²) integer
+    """Per-type variance/stddev via decomposable (n, Σc, Σc²) integer
     partials over fixed-point cents — the moments reduce.
 
     The raw-double Welford/naive float sums differ across partitionings in
     the last ulp; summing exact int64 cents (and cents²) makes the merge
-    order-independent, then ONE float expression computes variance from the
-    exact totals — bit-identical to DuckDB evaluating the same expression
-    over the same exact integers.  Partial Σc² per batch stays far below
-    int64 (cents ≤ ~10⁶, squared 10¹² × batch rows); the cross-batch merge
-    runs in Python ints (arbitrary precision) inside the tiny 5-group
-    final, so no corpus size overflows it.
+    order-independent, then :func:`_var_value` evaluates the oracle's own
+    double expression on the exact totals, so both sides round the same
+    way at any scale (``Σc·Σc`` is a double product on both, even once it
+    exceeds 2^53).  Partial Σc² per batch stays far below int64 (cents ≤
+    ~10⁶, squared 10¹² × batch rows); the cross-batch merge runs in Python
+    ints (arbitrary precision) inside the tiny 5-group final, so no corpus
+    size overflows the totals.
     """
     ds = _read(sf_dir, "events", columns=["event_type", "value"])
 
@@ -2956,9 +2669,7 @@ def events_type_stats_var(sf_dir: str):
             n = int(grp["n"].sum())
             sc = sum(int(v) for v in grp["sum_c"])
             sc2 = sum(int(v) for v in grp["sum_c2"])
-            # float only at the very end, same association as the SQL
-            var_c = (sc2 - (sc * sc) / n) / n
-            var_value = var_c / 10000.0
+            var_value = _var_value(n, sc, sc2)
             rows.append({
                 "event_type": et, "n": n, "sum_cents": sc,
                 "var_value": var_value,
@@ -3005,28 +2716,22 @@ def _users_by_type_flags(sf_dir: str):
     batch) and one bucketed OR-merge per user — the INTERSECT/EXCEPT
     kernel.  The exchange carries at most one row per (batch, user), never
     the events."""
+    from ..functions.grouping import two_phase_agg
+
     ds = _read(sf_dir, "events", columns=["user_id", "event_type", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
+    def flags(df: pd.DataFrame) -> pd.DataFrame:
         et = df["event_type"]
         hi = cents(df["value"].to_numpy()) >= HI_VALUE_CENTS
-        out = pd.DataFrame({
-            "user_id": df["user_id"],
-            "hi_purchase": ((et == "purchase") & hi).astype("int64"),
-            "hi_view": ((et == "view") & hi).astype("int64"),
-        }).groupby("user_id", as_index=False).max()
-        return table_from_pandas(out, preserve_index=False)
+        return df[["user_id"]].assign(
+            hi_purchase=((et == "purchase") & hi).astype("int64"),
+            hi_view=((et == "view") & hi).astype("int64"),
+        )
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("user_id", as_index=False).max()
-        out["user_id"] = out["user_id"].astype("int64")
-        return out
-
-    from ..functions.grouping import bucketed_group_apply
-
-    return bucketed_group_apply(
-        ds.map_batches(partial, batch_format="pyarrow"), "user_id", merge
+    return two_phase_agg(
+        ds, "user_id",
+        {"hi_purchase": ("hi_purchase", "max"), "hi_view": ("hi_view", "max")},
+        prep=flags,
     )
 
 
@@ -3097,6 +2802,8 @@ def lineitem_discount_bands(sf_dir: str):
     on exact integer "discount cents" (``floor(d*1000+0.5)``), so float
     edge cases land identically here and in the SQL oracle.
     """
+    from ..functions.grouping import two_phase_agg
+
     ds = _read(sf_dir, "lineitem",
                columns=["l_discount", "l_extendedprice"])
     names = np.array([b[0] for b in DISCOUNT_BANDS])
@@ -3105,33 +2812,21 @@ def lineitem_discount_bands(sf_dir: str):
                    + [int(np.floor(DISCOUNT_BANDS[-1][2] * 1000 + 0.5))],
                    dtype=np.int64)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
+    def band_rows(df: pd.DataFrame) -> pd.DataFrame:
         d_mille = np.floor(
             df["l_discount"].to_numpy(dtype=np.float64) * 1000 + 0.5
         ).astype(np.int64)
         band_ix = np.searchsorted(los, d_mille, side="right") - 1
-        out = pd.DataFrame({
+        return pd.DataFrame({
             "band": names[band_ix],
-            "n_items": np.int64(1),
             "revenue_cents": cents(df["l_extendedprice"].to_numpy()),
-        }).groupby("band", as_index=False).agg(
-            n_items=("n_items", "sum"),
-            revenue_cents=("revenue_cents", "sum"))
-        return table_from_pandas(out, preserve_index=False)
+        })
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("band", as_index=False).agg(
-            n_items=("n_items", "sum"),
-            revenue_cents=("revenue_cents", "sum"))
-        for c in ("n_items", "revenue_cents"):
-            out[c] = out[c].astype("int64")
-        return out
-
-    from ..functions.grouping import coalesced_group_apply
-
-    return coalesced_group_apply(
-        ds.map_batches(partial, batch_format="pyarrow"), "band", merge
+    return two_phase_agg(
+        ds, "band",
+        {"n_items": ("band", "count"),
+         "revenue_cents": ("revenue_cents", "sum")},
+        prep=band_rows, small=True,
     )
 
 
@@ -3204,41 +2899,33 @@ def custs_priority_mode(sf_dir: str):
     so the oracle uses an explicit ROW_NUMBER over the same (cnt DESC,
     priority ASC) order — deterministic on both sides).
 
-    Decomposable shape: map-side (cust, priority, cnt) partials collapse
-    each batch to its distinct pairs, one bucketed reduce per customer
-    sums counts and takes the argmax — the exchange carries distinct
-    (cust, priority) pairs per batch (≤ 5 rows/cust), never the orders.
+    Decomposable shape: the (cust, priority) COUNT is a two-phase
+    aggregate (map-side partials collapse each batch to its distinct
+    pairs), then one customer-keyed bucketed reduce takes the argmax — the
+    exchanges carry distinct (cust, priority) pairs (≤ 5 rows/cust), never
+    the orders.
     """
+    from ..functions.grouping import bucketed_group_apply, two_phase_agg
+
     ds = _read(sf_dir, "orders", columns=["o_custkey", "o_orderpriority"])
+    counts = two_phase_agg(
+        ds, ["o_custkey", "o_orderpriority"],
+        {"cnt": ("o_orderpriority", "count")},
+    )
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = df.groupby(["o_custkey", "o_orderpriority"], as_index=False)
-        out = g.size().rename(columns={"size": "cnt"})
-        out["cnt"] = out["cnt"].astype("int64")
-        return table_from_pandas(out, preserve_index=False)
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        s = df.groupby(["o_custkey", "o_orderpriority"], as_index=False)[
-            "cnt"].sum()
+    def mode(df: pd.DataFrame) -> pd.DataFrame:
         # vectorized argmax with the tie rule: sort (cnt DESC, prio ASC)
         # then take the first row per customer
-        s = s.sort_values(
+        ranked = df.sort_values(
             ["o_custkey", "cnt", "o_orderpriority"],
             ascending=[True, False, True], kind="mergesort",
         )
-        out = s.groupby("o_custkey", as_index=False).first()
+        out = ranked.groupby("o_custkey", as_index=False).first()
         out = out.rename(columns={"o_orderpriority": "mode_priority",
                                   "cnt": "n_orders_at_mode"})
-        out["o_custkey"] = out["o_custkey"].astype("int64")
-        out["n_orders_at_mode"] = out["n_orders_at_mode"].astype("int64")
         return out[["o_custkey", "mode_priority", "n_orders_at_mode"]]
 
-    from ..functions.grouping import bucketed_group_apply
-
-    return bucketed_group_apply(
-        ds.map_batches(partial, batch_format="pyarrow"), "o_custkey", merge
-    )
+    return bucketed_group_apply(counts, "o_custkey", mode)
 
 
 PRIORITY_MODE_SQL = """

@@ -31,26 +31,13 @@ def md5_hex(text: str) -> str:
 
 def exact_dedup(docs_ds):
     """(text_md5, keep_doc_id, n_copies): canonical representative per text."""
+    from ..functions.grouping import two_phase_agg
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df["text_md5"] = [md5_hex(t) for t in df["text"]]
-        g = df.groupby("text_md5", as_index=False).agg(
-            keep_doc_id=("doc_id", "min"), n_copies=("doc_id", "size")
-        )
-        return table_from_pandas(g, preserve_index=False)
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        # vectorized over every md5 in the bucket (corpus-cardinality key)
-        return df.groupby("text_md5", as_index=False).agg(
-            keep_doc_id=("keep_doc_id", "min"), n_copies=("n_copies", "sum")
-        )
-
-    from ..functions.grouping import bucketed_group_apply
-
-    return bucketed_group_apply(
-        docs_ds.map_batches(partial, batch_format="pyarrow"),
-        "text_md5", merge,
+    return two_phase_agg(
+        docs_ds, "text_md5",
+        {"keep_doc_id": ("doc_id", "min"), "n_copies": ("doc_id", "count")},
+        prep=lambda df: df.assign(
+            text_md5=[md5_hex(t) for t in df["text"]]),
     )
 
 
@@ -376,7 +363,7 @@ def ngram_jaccard_pairs(docs_ds, n: int = 3, min_pct: int = 30,
     """
     import ray
 
-    from ..functions.grouping import bucketed_group_apply
+    from ..functions.grouping import bucketed_group_apply, two_phase_agg
 
     def add_block(df: pd.DataFrame) -> pd.DataFrame:
         out = df[["doc_id", "lang", "text"]].copy()
@@ -386,22 +373,15 @@ def ngram_jaccard_pairs(docs_ds, n: int = 3, min_pct: int = 30,
     blocked = docs_ds.map_batches(add_block, batch_format="pandas")
 
     # pass 1: per-block doc counts (tiny — one row per (lang, lb) per batch,
-    # combined on the driver; block cardinality is bounded at any corpus
+    # combined in one block; block cardinality is bounded at any corpus
     # size, unlike block membership).  Column-pruned: the counting read
     # ships only (lang, n_chars), never text.
-    def partial_count(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.copy()
-        out["lb"] = (df["n_chars"] // 64).astype("int64")
-        return out.groupby(["lang", "lb"], as_index=False).agg(
-            cnt=("n_chars", "size")
-        )
-
-    counts = (
-        docs_ds.select_columns(["lang", "n_chars"])
-        .map_batches(partial_count, batch_format="pandas")
-        .to_pandas()
-        .groupby(["lang", "lb"], as_index=False)["cnt"].sum()
-    )
+    counts = two_phase_agg(
+        docs_ds.select_columns(["lang", "n_chars"]), ["lang", "lb"],
+        {"cnt": ("lb", "count")},
+        prep=lambda df: df.assign(lb=(df["n_chars"] // 64).astype("int64")),
+        small=True,
+    ).to_pandas()
     salts = {
         (r.lang, int(r.lb)): -(-int(r.cnt) // max_block)
         for r in counts.itertuples(index=False)
@@ -919,17 +899,14 @@ LEFT JOIN (SELECT u, MIN(v) AS cid FROM r GROUP BY u) m
 def dedup_keep(clusters_ds):
     """(cluster_id, keep_doc_id, n_members) — the APPLY step of near-dup
     dedup: one representative (the min doc_id == the cluster id) per
-    cluster, with member counts.  A single cluster-keyed bucketed reduce
+    cluster, with member counts.  A cluster-keyed two-phase min/count
     over :func:`dup_clusters` output."""
-    from ..functions.grouping import bucketed_group_apply
+    from ..functions.grouping import two_phase_agg
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("cluster_id", as_index=False).agg(
-            keep_doc_id=("doc_id", "min"), n_members=("doc_id", "size")
-        )
-        return out.astype("int64")
-
-    return bucketed_group_apply(clusters_ds, "cluster_id", merge)
+    return two_phase_agg(
+        clusters_ds, "cluster_id",
+        {"keep_doc_id": ("doc_id", "min"), "n_members": ("doc_id", "count")},
+    )
 
 
 def dedup_keep_sql(pairs_sql: str) -> str:
@@ -1101,7 +1078,7 @@ def substring_dup_pairs(docs_ds, gram: int = SUBSTR_GRAM,
     ultra-common grams are boilerplate noise, not dup signal) → one
     pair-keyed reduce summing shared-gram counts.  Two shuffles, nothing
     on the driver."""
-    from ..functions.grouping import bucketed_group_apply
+    from ..functions.grouping import bucketed_group_apply, two_phase_agg
 
     def gram_rows(batch: pa.Table) -> pa.Table:
         out_g, out_id = [], []
@@ -1136,12 +1113,8 @@ def substring_dup_pairs(docs_ds, gram: int = SUBSTR_GRAM,
         return out.astype("int64")
 
     per_gram = bucketed_group_apply(grams, "g", gram_pairs)
-
-    def merge_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby(["doc_a", "doc_b"], as_index=False)["n_shared"].sum()
-        return out.astype("int64")
-
-    return bucketed_group_apply(per_gram, ["doc_a", "doc_b"], merge_pairs)
+    return two_phase_agg(per_gram, ["doc_a", "doc_b"],
+                         {"n_shared": ("n_shared", "sum")})
 
 
 SUBSTRING_DUP_SQL = f"""

@@ -115,7 +115,7 @@ def _task_edge_partials(batch: pa.Table, ref_key, alias_index_ref) -> pa.Table:
     return stage(batch)
 
 
-def materialize_edges(triples_ds, alias_index_ref=None, concurrency=None):
+def materialize_edges(triples_ds, alias_index_ref=None):
     """Triples Dataset -> deduplicated weighted edges Dataset.
 
     Task-based combiner with a per-worker cached linker (cheap state); the

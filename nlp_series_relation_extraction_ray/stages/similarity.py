@@ -11,8 +11,6 @@
 
 from __future__ import annotations
 
-from ..sources.readers import table_from_pandas
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -408,47 +406,36 @@ def kmeans_cluster_stats(emb_ds, n_clusters: int = 16,
     against a driver-local numpy reference in pytest."""
     import ray
 
-    from ..functions.grouping import bucketed_group_apply
+    from ..functions.grouping import two_phase_agg
 
     train = uniform_embedding_sample(emb_ds, train_sample)
     cref = ray.put(kmeans_centroids(train, n_clusters))
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def assign(df: pd.DataFrame) -> pd.DataFrame:
         from ..stages.base import worker_cached
 
         cents = worker_cached(("kmeans_cents", cref.hex()),
                               lambda: ray.get(cref))
-        vecs, _ = _batch_matrix(batch)
-        vecs = _normalize(vecs)
+        vecs = _normalize(np.stack(
+            [np.asarray(v, dtype=np.float64) for v in df["embedding"]]))
         sims = vecs @ cents.T
-        assign = np.argmax(sims, axis=1)
-        best = sims[np.arange(len(vecs)), assign]
-        df = pd.DataFrame(
+        best = np.argmax(sims, axis=1)
+        return pd.DataFrame(
             {
-                "cluster": assign.astype("int64"),
+                "cluster": best.astype("int64"),
                 # fixed-point milli-similarity: order-independent int sums
-                "sim_milli": np.floor(best * 1000.0 + 0.5).astype("int64"),
+                "sim_milli": np.floor(
+                    sims[np.arange(len(vecs)), best] * 1000.0 + 0.5
+                ).astype("int64"),
             }
-        ).groupby("cluster", as_index=False).agg(
-            n_vecs=("sim_milli", "size"), sum_sim_milli=("sim_milli", "sum")
         )
-        return table_from_pandas(df, preserve_index=False)
 
-    partials = emb_ds.select_columns(["vec_id", "embedding"]).map_batches(
-        partial, batch_format="pyarrow"
-    )
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("cluster", as_index=False)[
-            ["n_vecs", "sum_sim_milli"]
-        ].sum()
-        return out.astype("int64")
-
-    # dense: #distinct clusters is a small parameter (see semantic dedup)
-    return bucketed_group_apply(
-        partials, "cluster", merge, dense=True,
-        empty_result={"cluster": "int64", "n_vecs": "int64",
-                      "sum_sim_milli": "int64"},
+    # #distinct clusters is a small parameter (see semantic dedup)
+    return two_phase_agg(
+        emb_ds.select_columns(["embedding"]), "cluster",
+        {"n_vecs": ("sim_milli", "count"),
+         "sum_sim_milli": ("sim_milli", "sum")},
+        prep=assign,
     )
 
 
@@ -590,11 +577,11 @@ def semantic_dedup_keep(
             }
         )
 
-    # dense buckets: cluster cardinality is a small parameter (n_clusters),
-    # so without sentinels Ray's sort shuffle makes empty partitions that
-    # surface as schema-less bundles
+    # cluster cardinality is a small parameter (n_clusters), but the
+    # sentinel rows keep Ray's sort shuffle from making empty partitions
+    # that surface as schema-less bundles
     return bucketed_group_apply(
-        assigned, "cluster", dedup_cells, dense=True,
+        assigned, "cluster", dedup_cells,
         empty_result={"vec_id": "int64", "cluster": "int64",
                       "keep": "bool"},
     )

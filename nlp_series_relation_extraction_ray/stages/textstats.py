@@ -118,29 +118,32 @@ FROM documents
 """
 
 
-def langid(docs_ds):
-    """(doc_id, lang_pred, c_en, c_fr, c_de, c_es): marker-word heuristic;
-    argmax with fixed tie-break priority en > de > es > fr, 'und' when all
-    marker counts are zero (mirrored exactly by LANGID_SQL)."""
+_MARKER_SETS = {k: set(v) for k, v in LANG_MARKERS.items()}
+_LANG_PRIORITY = ("en", "de", "es", "fr")
 
-    markers = {k: set(v) for k, v in LANG_MARKERS.items()}
-    priority = ("en", "de", "es", "fr")
+
+def _predict_lang(text: str) -> tuple[dict[str, int], str]:
+    """Marker-word counts per language and their argmax, ties broken by
+    the fixed priority en > de > es > fr ('und' when every count is 0)."""
+    words = text.split(" ")
+    row = {lang: sum(1 for w in words if w in marks)
+           for lang, marks in _MARKER_SETS.items()}
+    best = max(_LANG_PRIORITY, key=row.__getitem__)  # first max wins
+    return row, (best if row[best] > 0 else "und")
+
+
+def langid(docs_ds):
+    """(doc_id, lang_pred, c_en, c_fr, c_de, c_es): marker-word heuristic
+    (:func:`_predict_lang`, mirrored exactly by LANGID_SQL)."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        texts = batch["text"].to_pylist()
-        counts = {k: [] for k in ("en", "fr", "de", "es")}
+        counts = {k: [] for k in LANG_MARKERS}
         preds = []
-        for t in texts:
-            words = t.split(" ")
-            row = {}
-            for lang in ("en", "fr", "de", "es"):
-                row[lang] = sum(1 for w in words if w in markers[lang])
-                counts[lang].append(row[lang])
-            best = priority[0]
-            for lang in priority[1:]:
-                if row[lang] > row[best]:
-                    best = lang
-            preds.append(best if row[best] > 0 else "und")
+        for t in batch["text"].to_pylist():
+            row, pred = _predict_lang(t)
+            for lang, c in row.items():
+                counts[lang].append(c)
+            preds.append(pred)
         return pa.Table.from_pydict(
             {
                 "doc_id": batch["doc_id"],
@@ -575,44 +578,18 @@ def langid_confusion(docs_ds):
     ≤ |langs|² count table per batch) and one coalesced final: at 10¹²
     docs the shuffle carries #batches × ≤25 rows.
     """
-    markers = {k: set(v) for k, v in LANG_MARKERS.items()}
-    priority = ("en", "de", "es", "fr")
+    from ..functions.grouping import two_phase_agg
 
-    def partial(batch: pa.Table) -> pa.Table:
-        import pandas as pd
+    def predictions(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({
+            "lang": df["lang"],
+            "lang_pred": [_predict_lang(t)[1] for t in df["text"]],
+        })
 
-        texts = batch["text"].to_pylist()
-        preds = []
-        for t in texts:
-            words = t.split(" ")
-            row = {
-                lang: sum(1 for w in words if w in markers[lang])
-                for lang in ("en", "fr", "de", "es")
-            }
-            best = priority[0]
-            for lang in priority[1:]:
-                if row[lang] > row[best]:
-                    best = lang
-            preds.append(best if row[best] > 0 else "und")
-        df = pd.DataFrame(
-            {"lang": batch["lang"].to_pylist(), "lang_pred": preds}
-        ).groupby(["lang", "lang_pred"], as_index=False).agg(
-            n=("lang_pred", "size")
-        )
-        df["n"] = df["n"].astype("int64")
-        return table_from_pandas(df, preserve_index=False)
-
-    from ..functions.grouping import coalesced_group_apply
-
-    def merge(df):
-        out = df.groupby(["lang", "lang_pred"], as_index=False)["n"].sum()
-        out["n"] = out["n"].astype("int64")
-        return out
-
-    partials = docs_ds.select_columns(["doc_id", "text", "lang"]).map_batches(
-        partial, batch_format="pyarrow"
+    return two_phase_agg(
+        docs_ds.select_columns(["text", "lang"]), ["lang", "lang_pred"],
+        {"n": ("lang_pred", "count")}, prep=predictions, small=True,
     )
-    return coalesced_group_apply(partials, ["lang", "lang_pred"], merge)
 
 
 LANGID_CONFUSION_SQL = f"""
@@ -625,7 +602,11 @@ GROUP BY d.lang, p.lang_pred
 
 # --- round 5: URL/domain extraction (crawl-style per-domain stats) --------
 
-_URL_RE = re.compile(r"https://([a-z0-9.-]+)/[^\s]*")
+# one pattern for both sides: the path tail stops at a space, tab or
+# newline in Python ``re`` and in DuckDB's RE2 alike (``\s`` and ``[^ ]``
+# would disagree on tab-separated URLs)
+URL_PAT = r"https://([a-z0-9.-]+)/[^ \t\n]*"
+_URL_RE = re.compile(URL_PAT)
 
 
 def plant_urls(docs_ds):
@@ -665,44 +646,25 @@ def url_domain_stats(docs_ds):
     partial counts, never the text.  The domain universe is bounded (site
     key-space), so the final is a coalesced single-block group."""
 
-    def partial(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_pylist()
-        texts = batch["text"].to_pylist()
-        doms, urls, docs = [], [], []
-        acc: dict[str, list[int]] = {}
-        for did, t in zip(ids, texts):
-            found = _URL_RE.findall(t)
-            if not found:
-                continue
-            for d in set(found):
-                a = acc.setdefault(d, [0, 0])
-                a[0] += found.count(d)
-                a[1] += 1
-        for d, (nu, nd) in acc.items():
-            doms.append(d)
-            urls.append(nu)
-            docs.append(nd)
-        return pa.Table.from_pydict({
-            "domain": pa.array(doms, pa.string()),
-            "n_urls": pa.array(urls, pa.int64()),
-            "n_docs": pa.array(docs, pa.int64()),
-        })
+    from collections import Counter
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("domain", as_index=False).agg(
-            n_urls=("n_urls", "sum"), n_docs=("n_docs", "sum"))
-        for c in ("n_urls", "n_docs"):
-            out[c] = out[c].astype("int64")
-        return out
+    from ..functions.grouping import two_phase_agg
 
-    from ..functions.grouping import coalesced_group_apply
+    def domain_rows(df: pd.DataFrame) -> pd.DataFrame:
+        hits = [(d, n) for t in df["text"]
+                for d, n in Counter(_URL_RE.findall(t)).items()]
+        return pd.DataFrame(
+            {"domain": pd.Series([d for d, _ in hits], dtype=object),
+             "n_urls": pd.Series([n for _, n in hits], dtype="int64")})
 
-    return coalesced_group_apply(
-        docs_ds.map_batches(partial, batch_format="pyarrow"), "domain", merge
+    return two_phase_agg(
+        docs_ds, "domain",
+        {"n_urls": ("n_urls", "sum"), "n_docs": ("domain", "count")},
+        prep=domain_rows, small=True,
     )
 
 
-URL_DOMAINS_SQL = """
+URL_DOMAINS_SQL = f"""
 WITH planted AS (
   SELECT doc_id,
     text
@@ -714,7 +676,7 @@ WITH planted AS (
 ),
 hits AS (
   SELECT doc_id,
-    UNNEST(regexp_extract_all(text, 'https://([a-z0-9.-]+)/[^ ]*', 1))
+    UNNEST(regexp_extract_all(text, '{URL_PAT}', 1))
       AS domain
   FROM planted
 )
@@ -771,35 +733,19 @@ def rare_token_stats(docs_ds, n_docs: int, rare_df_threshold: int | None = None)
     ever reaches the driver or a single reducer."""
     import ray
 
-    from ..functions.grouping import bucketed_group_apply
+    from ..functions.grouping import text_tokens, two_phase_agg
 
     if rare_df_threshold is None:
         rare_df_threshold = max(2, n_docs // 100)
 
-    def tok_partial(batch: pa.Table) -> pa.Table:
-        # distinct (doc, token) within the batch: docs are row-atomic, so
-        # per-row dedup is global dedup; emit per-token partial df counts
-        from collections import Counter
-
-        c: Counter = Counter()
-        for t in batch["text"].to_pylist():
-            c.update(set(t.split(" ")))
-        return pa.Table.from_pydict({
-            "token": pa.array(list(c.keys()), pa.string()),
-            "df": pa.array(list(c.values()), pa.int64()),
-        })
-
-    def df_merge(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("token", as_index=False)["df"].sum()
-        out = out[out["df"] >= rare_df_threshold]  # keep only the common set
-        out["df"] = out["df"].astype("int64")
-        return out
-
-    common_tbl = bucketed_group_apply(
-        docs_ds.map_batches(tok_partial, batch_format="pyarrow"),
-        "token", df_merge,
+    # distinct (doc, token) per row: docs are row-atomic, so per-row dedup
+    # is global dedup; keep only the common set
+    common_tbl = two_phase_agg(
+        docs_ds, "token", {"df": ("token", "count")},
+        prep=lambda df: text_tokens(df, distinct=True),
+        having=lambda g: g["df"] >= rare_df_threshold,
     ).to_pandas()
-    common_ref = ray.put(frozenset(common_tbl["token"]))
+    common_ref = ray.put(frozenset(common_tbl.get("token", ())))
 
     def score(batch: pa.Table) -> pa.Table:
         common = ray.get(common_ref)

@@ -162,7 +162,9 @@ def _extract_batch_baseline(W: np.ndarray, b: np.ndarray, head,
 # first batch a worker sees pays one zero-copy ``ray.get`` from the local
 # object store and every later batch — including batches of a LATER job in
 # the same session — reads process memory.  Keyed by ObjectRef so a new
-# checkpoint broadcast invalidates naturally.
+# checkpoint broadcast invalidates naturally; only the newest entry is kept
+# (one checkpoint is live at a time), so repeated trainings in one session
+# do not grow worker memory.
 _WORKER_STATE_CACHE: dict = {}
 
 
@@ -171,6 +173,7 @@ def _cached_weights(weights_ref):
 
     key = weights_ref.hex() if hasattr(weights_ref, "hex") else id(weights_ref)
     if key not in _WORKER_STATE_CACHE:
+        _WORKER_STATE_CACHE.clear()
         _WORKER_STATE_CACHE[key] = (ray.get(weights_ref), BaselineHead())
     return _WORKER_STATE_CACHE[key]
 
@@ -212,7 +215,12 @@ def extract_triples_trained(
       (:class:`TrainedBaselineExtractor`, weights in ``__init__``) — the
       shape a GPU/torch scorer needs (pin memory, per-actor device), kept
       as the S6 reference plan and used by the other trained heads.
+
+    Any other ``plan`` raises ``ValueError``.
     """
+    if plan not in ("tasks", "actors"):
+        raise ValueError(
+            f"unknown plan {plan!r}: expected 'tasks' or 'actors'")
     names = transcripts_ds.schema().names
     needed = ["conv_id", "turn_idx", "text"]
     if set(needed) < set(names):

@@ -1,7 +1,9 @@
-"""bucketed_group_apply: the vectorized high-cardinality reduce."""
+"""bucketed_group_apply (the vectorized high-cardinality reduce) and
+two_phase_agg (the declarative combiner + merge on top of it)."""
 
 import numpy as np
 import pandas as pd
+import pytest
 
 
 def test_bucketed_group_apply_matches_per_group(ray_session):
@@ -68,3 +70,115 @@ def test_bucketed_group_apply_key_never_split(ray_session):
     # if a key were split across buckets it would surface as two partial rows
     assert got["k"].is_unique
     assert (got["v"] == 5).all()
+
+
+def _frame(n: int = 3000) -> pd.DataFrame:
+    rng = np.random.RandomState(11)
+    return pd.DataFrame(
+        {
+            "k": rng.randint(0, 40, size=n).astype("int64"),
+            "s": [f"key-{i % 7}" for i in range(n)],
+            "v": rng.randint(-500, 1000, size=n).astype("int64"),
+        }
+    )
+
+
+_AGGS = {
+    "total": ("v", "sum"),
+    "n": ("v", "count"),
+    "lo": ("v", "min"),
+    "hi": ("v", "max"),
+}
+
+
+def _sorted(df: pd.DataFrame, keys) -> pd.DataFrame:
+    return df.sort_values(keys).reset_index(drop=True)
+
+
+def _want(df: pd.DataFrame, keys) -> pd.DataFrame:
+    return _sorted(df.groupby(keys, as_index=False).agg(**_AGGS), keys)
+
+
+@pytest.mark.parametrize("small", [False, True])
+@pytest.mark.parametrize("n_blocks", [1, 7])
+@pytest.mark.parametrize("keys", [["k"], ["s"], ["k", "s"]])
+def test_two_phase_agg_matches_pandas_groupby(ray_session, keys, n_blocks,
+                                              small):
+    """sum/count/min/max over int, string and compound keys equal one
+    pandas groupby, for any input block count and both merge fabrics."""
+    import ray
+
+    from nlp_series_relation_extraction_ray.functions.grouping import (
+        two_phase_agg,
+    )
+
+    df = _frame()
+    ds = ray.data.from_pandas(df).repartition(n_blocks)
+    got = _sorted(two_phase_agg(ds, keys, _AGGS, small=small).to_pandas(),
+                  keys)
+    want = _want(df, keys)
+    assert list(got.columns) == keys + list(_AGGS)
+    for c in ("total", "n"):
+        assert got[c].dtype == np.int64
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+@pytest.mark.parametrize("small", [False, True])
+def test_two_phase_agg_prep_filters_everything(ray_session, small):
+    """A prep that drops every row yields zero rows, not a crash."""
+    import ray
+
+    from nlp_series_relation_extraction_ray.functions.grouping import (
+        two_phase_agg,
+    )
+
+    ds = ray.data.from_pandas(_frame()).repartition(4)
+    out = two_phase_agg(ds, "k", _AGGS, prep=lambda df: df[df["v"] > 10**6],
+                        small=small)
+    assert out.count() == 0
+    assert len(out.to_pandas()) == 0
+
+
+@pytest.mark.parametrize("small", [False, True])
+def test_two_phase_agg_having_sees_global_totals(ray_session, small):
+    """HAVING filters merged groups: key 1 reaches the bar only on its
+    total across blocks (no single block passes), key 2 never does."""
+    import ray
+
+    from nlp_series_relation_extraction_ray.functions.grouping import (
+        two_phase_agg,
+    )
+
+    df = pd.DataFrame({"k": [1, 1, 1, 2, 2, 2], "v": [4, 4, 4, 1, 1, 1]})
+    ds = ray.data.from_pandas([df.iloc[i:i + 2] for i in range(0, 6, 2)])
+    got = two_phase_agg(
+        ds, "k", {"total": ("v", "sum")},
+        having=lambda g: g["total"] > 10, small=small,
+    ).to_pandas()
+    assert got.to_dict("list") == {"k": [1], "total": [12]}
+
+
+def test_two_phase_agg_rejects_unknown_aggregate(ray_session):
+    import ray
+
+    from nlp_series_relation_extraction_ray.functions.grouping import (
+        two_phase_agg,
+    )
+
+    with pytest.raises(ValueError, match="median"):
+        two_phase_agg(ray.data.from_pandas(_frame()), "k",
+                      {"m": ("v", "median")})
+
+
+def test_text_tokens_counts_and_document_frequency():
+    from collections import Counter
+
+    from nlp_series_relation_extraction_ray.functions.grouping import (
+        text_tokens,
+    )
+
+    df = pd.DataFrame({"text": ["a b a", "b c", ""]})
+    assert Counter(text_tokens(df)["token"]) == Counter(
+        {"a": 2, "b": 2, "c": 1, "": 1})
+    assert Counter(text_tokens(df, distinct=True)["token"]) == Counter(
+        {"a": 1, "b": 2, "c": 1, "": 1})

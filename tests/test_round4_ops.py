@@ -167,6 +167,26 @@ def test_q18_having_boundary_exact(tmp_sf):
     )
 
 
+def test_q18_no_qualifying_order_is_typed_empty(tmp_sf):
+    """A bar above every order's total quantity: zero rows with the full
+    output schema, equal to the (empty) SQL result."""
+    from nlp_series_relation_extraction_ray.pipelines.relational import (
+        q18_sql,
+        q18_large_orders,
+    )
+
+    got = q18_large_orders(tmp_sf, min_qty=10_000.0)
+    want = _oracle(tmp_sf, q18_sql(min_qty=10_000.0))
+    assert len(want) == 0
+    assert list(got.columns) == [
+        "o_orderkey", "o_custkey", "c_name", "total_cents", "qty_cents"
+    ]
+    pd.testing.assert_frame_equal(
+        got, want.astype({c: got[c].dtype for c in got.columns}),
+        check_index_type=False,
+    )
+
+
 def test_search_and_token_boundaries(tmp_sf):
     from nlp_series_relation_extraction_ray.pipelines.relational import (
         docs_search_and,

@@ -84,9 +84,9 @@ def tmp_sf(tmp_path_factory, ray_session):
     return str(d)
 
 
-def _con(tmp_sf):
+def _con(tmp_sf, tables=("events", "lineitem", "documents")):
     c = duckdb.connect()
-    for t in ("events", "lineitem", "documents"):
+    for t in tables:
         c.execute(
             f"CREATE VIEW {t} AS SELECT * FROM "
             f"read_parquet('{tmp_sf}/{t}.parquet')"
@@ -221,6 +221,70 @@ def test_url_domains_within_doc_dedup(tmp_sf):
         .sort_values("domain").reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+def test_url_tail_stops_at_tab(tmp_path, ray_session):
+    """Two URLs separated by a tab (and a newline after) are two hits on
+    BOTH sides — the Python and DuckDB patterns share one tail class.
+    doc_id 1 gets no planted URL."""
+    import pyarrow.parquet as pq
+
+    from nlp_series_relation_extraction_ray.sources.readers import (
+        read_parquet_clean,
+    )
+    from nlp_series_relation_extraction_ray.stages.textstats import (
+        URL_DOMAINS_SQL,
+        plant_urls,
+        url_domain_stats,
+    )
+
+    pq.write_table(
+        pa.table({
+            "doc_id": pa.array([1], pa.int64()),
+            "text": pa.array(
+                ["see https://a.example.org/x\thttps://b.example.org/y\nz"],
+                pa.string()),
+        }),
+        str(tmp_path / "documents.parquet"),
+    )
+    got = (
+        url_domain_stats(plant_urls(read_parquet_clean(
+            str(tmp_path / "documents.parquet")))).to_pandas()
+        .sort_values("domain").reset_index(drop=True)
+    )
+    assert got.to_dict("list") == {
+        "domain": ["a.example.org", "b.example.org"],
+        "n_urls": [1, 1], "n_docs": [1, 1],
+    }
+    want = (
+        _con(str(tmp_path), tables=("documents",))
+        .execute(URL_DOMAINS_SQL).df()
+        .sort_values("domain").reset_index(drop=True)
+    )
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+def test_var_value_uses_oracle_double_arithmetic():
+    """With Σc above 2^53 the exact big-int product Σc·Σc and the SQL's
+    double product round apart (here by the whole variance); the merge
+    must evaluate the oracle's double expression."""
+    from nlp_series_relation_extraction_ray.pipelines.relational import (
+        _var_value,
+    )
+
+    n, sc = 2, 2**53 + 1
+    sc2 = (sc * sc + 1) // 2
+
+    def dbl(v):
+        return f"CAST(CAST('{v}' AS HUGEINT) AS DOUBLE)"
+
+    want = duckdb.connect().execute(
+        f"SELECT ({dbl(sc2)} - {dbl(sc)} * {dbl(sc)} / CAST({n} AS DOUBLE))"
+        f" / CAST({n} AS DOUBLE) / 10000.0"
+    ).fetchone()[0]
+    exact_product = (sc2 - (sc * sc) / n) / n / 10000.0
+    assert exact_product != want
+    assert _var_value(n, sc, sc2) == want
 
 
 def test_kg_pagerank_check_all_true(ray_session):

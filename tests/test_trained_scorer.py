@@ -89,6 +89,28 @@ def test_task_and_actor_plans_identical(ray_session, weights):
     pd.testing.assert_frame_equal(run("tasks"), run("actors"))
 
 
+def test_unknown_plan_raises(ray_session):
+    """A misspelt plan must fail loudly, not fall through to the actor
+    pool."""
+    with pytest.raises(ValueError, match="plan 'task'"):
+        extract_triples_trained(transcripts_dataset(2), None, plan="task")
+
+
+def test_worker_weight_cache_keeps_newest_only(ray_session):
+    """Each new weights broadcast replaces the cached entry: repeated
+    trainings in one session do not grow worker memory."""
+    import numpy as np
+    import ray
+
+    from nlp_series_relation_extraction_ray.stages import trained_scorer as ts
+
+    refs = [ray.put((np.full(2, i), np.zeros(1))) for i in range(3)]
+    for ref in refs:
+        (W, _), _head = ts._cached_weights(ref)
+        assert W[0] == refs.index(ref)
+    assert list(ts._WORKER_STATE_CACHE) == [refs[-1].hex()]
+
+
 def test_trained_weights_deterministic():
     # small budget: only the bit-for-bit reproducibility is under test
     W, b = train_baseline_scorer(n_train_convs=200, epochs=3)
