@@ -388,8 +388,9 @@ def events_value_quantiles_hist(sf_dir: str, bins: int = HIST_BINS):
     def partial(batch: pa.Table) -> pa.Table:
         from ..stages.base import worker_cached
 
-        rng = worker_cached(("hist_ranges", range_ref.hex()),
-                            lambda: ray.get(range_ref))
+        rng = worker_cached("hist_ranges",
+                            lambda: ray.get(range_ref),
+                            range_ref.hex())
         df = batch.to_pandas()
         rows = []
         for et, g in df.groupby("event_type"):

@@ -13,7 +13,7 @@ itself is SQL-expressible and the whole chain is verified value-exact.
 Scale shape: the per-doc flags (quality/lang/split) are ONE row-local
 ``map_batches`` pass over the corpus — no shuffle; the duplicate-cluster
 labels come from the bounded-reducer pair kernel + min-label propagation
-(see ``stages/dedup.py``); one final doc-keyed bucketed reduce joins the
+(``functions/graphs.py``); one final doc-keyed bucketed reduce joins the
 two sides and applies the keep predicate vectorized.  Nothing corpus-sized
 touches the driver, and the output streams (``write_parquet``-able,
 partitionable by ``split``).

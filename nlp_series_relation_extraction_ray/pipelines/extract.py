@@ -154,7 +154,13 @@ def extract_triples(
     actor-pool throughput here).  A broadcast ``gold_ref`` (or any genuinely
     heavy scorer state, e.g. neural weights) flips to the actor-pool path:
     ``__init__``-once state is exactly what actor pools are for.
+
+    ``emit`` is ``"triples"`` or ``"entities"``; anything else raises
+    ``ValueError``.
     """
+    if emit not in ("triples", "entities"):
+        raise ValueError(
+            f"unknown emit {emit!r}: expected 'triples' or 'entities'")
     if use_actors is None:
         use_actors = gold_ref is not None
     # prune: the extractor reads only (conv_id, turn_idx, text); drop

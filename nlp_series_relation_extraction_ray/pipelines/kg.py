@@ -17,12 +17,9 @@ invariant from BASELINE.json's ``input_hint``.
 from __future__ import annotations
 
 import hashlib
-import logging
 
 import numpy as np
 import pandas as pd
-
-logger = logging.getLogger(__name__)
 
 from .extract import extract_triples
 
@@ -300,24 +297,11 @@ def kg_triangles(edges_ds, small_edge_limit: int = 2_000_000):
     list (identical algorithm and output), above it the full 6-stage
     distributed plan runs.
     """
+    from ..functions.graphs import undirected_pairs
     from ..functions.grouping import bucketed_group_apply, two_phase_agg
     from ..functions.joins import shuffle_join
 
-    def to_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        u = df["src_id"].astype(str)
-        v = df["dst_id"].astype(str)
-        out = pd.DataFrame(
-            {"u": np.minimum(u, v), "v": np.maximum(u, v)}
-        )
-        return out[out["u"] != out["v"]].drop_duplicates()
-
-    def dedup(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates()
-
-    pairs = bucketed_group_apply(
-        edges_ds.map_batches(to_pairs, batch_format="pandas"), ["u", "v"],
-        dedup,
-    ).materialize()
+    pairs = undirected_pairs(edges_ds, "src_id", "dst_id", drop_loops=True)
 
     if pairs.count() <= small_edge_limit:
         return _local_triangles(pairs.to_pandas())
@@ -580,8 +564,9 @@ def _pagerank_dense(adj, damping: float, n_iter: int, threshold: int):
     # integer-encode the adjacency once; few fat blocks keep the
     # per-iteration vector collect at #blocks × 8n bytes
     def encode(df: pd.DataFrame) -> pd.DataFrame:
-        idx = worker_cached(("pr_idx", idx_ref.hex()),
-                            lambda: ray.get(idx_ref))
+        idx = worker_cached("pr_idx",
+                            lambda: ray.get(idx_ref),
+                            idx_ref.hex())
         return pd.DataFrame(
             {
                 "s": df["src"].map(idx).astype("int32"),
@@ -636,168 +621,26 @@ def kg_components(edges_ds, max_iters: int = 25,
     ``dup_clusters``: it answers "which entities are transitively linked
     at all", the first cut for subgraph routing / per-component jobs.
 
-    Same size-gated plan as :func:`kg_triangles` / ``dedup.dup_clusters``:
-    canonical pairs are a dedup OUTPUT (bounded), so below
-    ``small_edge_limit`` union-find runs driver-local on the collected
-    pair list; above it, distributed min-label propagation runs — one
-    label⋈edge forward reduce plus one per-node min reduce per round,
-    labels string-typed (min = lexicographic).  Labels only decrease, so
-    the fixpoint detector sums a per-(node,label) 64-bit content hash:
-    the sum is unchanged iff no node's label changed (a label can never
-    swap-increase, and the hash binds node to label).  Node universe =
-    every edge endpoint (entities with no edges are trivial singletons
-    and are not emitted — matching the oracle's edge-derived universe).
+    Canonical pairs (loops kept, so a self-loop's endpoint joins the node
+    universe) go through :func:`~..functions.graphs.min_label_components`
+    with string labels (min = lexicographic): driver-local union-find up
+    to ``small_edge_limit`` directed edges, distributed min-label
+    propagation above.  Node universe = every edge endpoint (entities with
+    no edges are trivial singletons and are not emitted — matching the
+    oracle's edge-derived universe).
     """
-    from ..functions.grouping import bucketed_group_apply
+    from ..functions.graphs import min_label_components, undirected_pairs
 
-    def to_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        u = df["src_id"].astype(str)
-        v = df["dst_id"].astype(str)
-        out = pd.DataFrame({"u": np.minimum(u, v), "v": np.maximum(u, v)})
-        return out.drop_duplicates()  # loops kept: endpoint joins universe
-
-    pairs = bucketed_group_apply(
-        edges_ds.map_batches(to_pairs, batch_format="pandas"), ["u", "v"],
-        lambda df: df.drop_duplicates(),
-    ).materialize()
-
-    def _rename(df: pd.DataFrame) -> pd.DataFrame:
+    def rename(df: pd.DataFrame) -> pd.DataFrame:
         out = df.rename(
             columns={"node": "entity_id", "label": "component_id"}
         )
         return out.astype({"entity_id": "string", "component_id": "string"})
 
-    def finish(labels_df: pd.DataFrame):
-        import ray
-
-        return ray.data.from_pandas(
-            _rename(labels_df.sort_values("node").reset_index(drop=True))
-        )
-
-    if pairs.count() <= small_edge_limit:
-        ep = pairs.to_pandas()  # bounded by small_edge_limit
-        parent: dict[str, str] = {}
-
-        def find(x: str) -> str:
-            r = x
-            while parent.get(r, r) != r:
-                r = parent[r]
-            while parent.get(x, x) != x:  # path compression
-                parent[x], x = r, parent[x]
-            return r
-
-        for a, b in zip(ep["u"], ep["v"]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                # union by min: root == component minimum == converged label
-                if ra < rb:
-                    parent[rb] = ra
-                else:
-                    parent[ra] = rb
-        nodes = sorted(set(ep["u"]) | set(ep["v"]))
-        return finish(pd.DataFrame(
-            {"node": nodes, "label": [find(n) for n in nodes]}
-        ))
-
-    # ---- distributed min-label propagation (string labels) ----
-    def both_dirs(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "src": pd.concat([df["u"], df["v"]], ignore_index=True),
-                "dst": pd.concat([df["v"], df["u"]], ignore_index=True),
-            }
-        )
-
-    edges = pairs.map_batches(both_dirs, batch_format="pandas").materialize()
-
-    def take_min(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("node", as_index=False)["label"].min()
-
-    def init_rows(df: pd.DataFrame) -> pd.DataFrame:
-        # round 1 folded into init: label(u) = min(u, neighbors(u))
-        return pd.DataFrame(
-            {
-                "node": pd.concat([df["dst"], df["dst"]], ignore_index=True),
-                "label": pd.concat([df["src"], df["dst"]],
-                                   ignore_index=True),
-            }
-        )
-
-    labels = bucketed_group_apply(
-        edges.map_batches(init_rows, batch_format="pandas"), "node", take_min
-    ).materialize()
-
-    def state_hash(ds) -> int:
-        def partial(df: pd.DataFrame) -> pd.DataFrame:
-            acc = np.int64(0)
-            for n, lb in zip(df["node"], df["label"]):
-                h = hashlib.blake2b(
-                    f"{n}\x00{lb}".encode(), digest_size=8
-                ).digest()
-                acc = np.int64(
-                    (int(acc) + int.from_bytes(h, "big", signed=True))
-                    & 0x7FFFFFFFFFFFFFFF
-                )
-            return pd.DataFrame({"h": pd.Series([acc], dtype="int64")})
-
-        total = 0
-        for row in ds.map_batches(
-            partial, batch_format="pandas"
-        ).iter_rows():
-            total = (total + int(row["h"])) & 0x7FFFFFFFFFFFFFFF
-        return total
-
-    def tag_label(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"key": df["node"], "dst": "", "label": df["label"]}
-        )
-
-    def tag_edge(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"key": df["src"], "dst": df["dst"], "label": ""}
-        )
-
-    def forward(df: pd.DataFrame) -> pd.DataFrame:
-        lab = df[df["dst"] == ""][["key", "label"]]
-        e = df[df["dst"] != ""][["key", "dst"]]
-        own = lab.rename(columns={"key": "dst"})
-        fwd = e.merge(lab, on="key")[["dst", "label"]]
-        out = pd.concat([own, fwd], ignore_index=True)
-        return out.rename(columns={"dst": "node"})
-
-    # grow past max_iters if the fixpoint hash says we have not converged
-    # (diameter > max_iters is plausible exactly in the huge-graph regime
-    # this path serves); a hard cap turns a silent wrong answer into a
-    # loud failure instead of returning unconverged labels
-    prev = state_hash(labels)
-    hard_cap = max(max_iters * 8, max_iters + 1)
-    converged = False
-    for it in range(hard_cap):
-        lab_rows = labels.map_batches(tag_label, batch_format="pandas")
-        edge_rows = edges.map_batches(tag_edge, batch_format="pandas")
-        msgs = bucketed_group_apply(lab_rows.union(edge_rows), "key", forward)
-        labels = bucketed_group_apply(msgs, "node", take_min).materialize()
-        cur = state_hash(labels)
-        if cur == prev:  # monotone labels + node-bound hash: equal == fixed
-            converged = True
-            break
-        prev = cur
-        if it + 1 == max_iters:
-            logger.warning(
-                "kg_components: no fixpoint after max_iters=%d rounds; "
-                "extending to %d (graph diameter exceeds budget)",
-                max_iters, hard_cap,
-            )
-    if not converged:
-        raise RuntimeError(
-            f"kg_components: label propagation did not converge within "
-            f"{hard_cap} rounds — graph diameter exceeds the iteration "
-            f"budget; raise max_iters"
-        )
-
-    # converged labels stay distributed: the output is pair-graph-sized
-    # (above the gate that can be huge), so only rename per batch
-    return labels.map_batches(_rename, batch_format="pandas")
+    pairs = undirected_pairs(edges_ds, "src_id", "dst_id", drop_loops=False)
+    return min_label_components(
+        pairs, max_iters=max_iters, small_edge_limit=small_edge_limit
+    ).map_batches(rename, batch_format="pandas")
 
 
 def kg_edges_named(edges_ds, nodes_ds):
@@ -952,19 +795,10 @@ def kg_kcore(edges_ds, small_edge_limit: int = 2_000_000):
     """
     import ray
 
+    from ..functions.graphs import undirected_pairs
     from ..functions.grouping import bucketed_group_apply
 
-    def to_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        u = df["src_id"].astype(str)
-        v = df["dst_id"].astype(str)
-        out = pd.DataFrame({"u": np.minimum(u, v), "v": np.maximum(u, v)})
-        out = out[out["u"] != out["v"]]  # simple graph: drop self-loops
-        return out.drop_duplicates()
-
-    pairs = bucketed_group_apply(
-        edges_ds.map_batches(to_pairs, batch_format="pandas"), ["u", "v"],
-        lambda df: df.drop_duplicates(),
-    ).materialize()
+    pairs = undirected_pairs(edges_ds, "src_id", "dst_id", drop_loops=True)
 
     def finish(core: dict[str, int]):
         nodes = sorted(core)
@@ -1025,20 +859,11 @@ def kg_kcore_check(edges_ds, tol_rows: bool = True):
     booleans whose SQL oracle is the edge-endpoint node universe + TRUE
     (self-loop-only nodes excluded, matching the simple-graph semantics).
     Integer core numbers make the verdict exact (no ε needed)."""
-    from ..functions.grouping import bucketed_group_apply
+    from ..functions.graphs import undirected_pairs
 
     distributed = kg_kcore(edges_ds, small_edge_limit=0).to_pandas()
-
-    def to_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        u = df["src_id"].astype(str)
-        v = df["dst_id"].astype(str)
-        out = pd.DataFrame({"u": np.minimum(u, v), "v": np.maximum(u, v)})
-        out = out[out["u"] != out["v"]]
-        return out.drop_duplicates()
-
-    ep = bucketed_group_apply(
-        edges_ds.map_batches(to_pairs, batch_format="pandas"), ["u", "v"],
-        lambda df: df.drop_duplicates(),
+    ep = undirected_pairs(
+        edges_ds, "src_id", "dst_id", drop_loops=True
     ).to_pandas()
     ref = _kcore_local(list(zip(ep["u"], ep["v"])))
     nodes = sorted(ref)

@@ -138,7 +138,7 @@ def q3_top_orders(sf_dir: str, segment: str = "BUILDING", k: int = 10):
         # Python set unpickles it on EVERY call otherwise (at a real
         # segment's ~30M custkeys that's a per-batch unpickle)
         keys = worker_cached(
-            ("q3_custkeys", ck_ref.hex()), lambda: ray.get(ck_ref)
+            "q3_custkeys", lambda: ray.get(ck_ref), ck_ref.hex()
         )
         df = batch.to_pandas()
         df = df[df["o_custkey"].isin(keys)]
@@ -1231,8 +1231,9 @@ def q5_local_supplier_revenue(
 
     def cust_markers(df: pd.DataFrame) -> pd.DataFrame:
         nk = worker_cached(
-            ("q5_nations", nation_keys_ref.hex()),
+            "q5_nations",
             lambda: ray.get(nation_keys_ref),
+            nation_keys_ref.hex(),
         )
         df = df[df["c_nationkey"].astype("int64").isin(nk)]
         # named o_custkey up front: shuffle_join joins on one key column,
@@ -1298,8 +1299,9 @@ def q5_local_supplier_revenue(
 
     def line_side(batch: pa.Table) -> pa.Table:
         sn = worker_cached(
-            ("q5_suppliers", supp_nation_ref.hex()),
+            "q5_suppliers",
             lambda: ray.get(supp_nation_ref),
+            supp_nation_ref.hex(),
         )
         df = batch.to_pandas()
         nk = df["l_suppkey"].astype("int64").map(sn)
@@ -1499,7 +1501,7 @@ def orders_priority_exists_bloom(sf_dir: str, returnflag: str = "R",
 
     def order_rows_pruned(batch: pa.Table) -> pa.Table:
         bits = worker_cached(
-            ("bloom", bloom_ref.hex()), lambda: ray.get(bloom_ref)
+            "bloom", lambda: ray.get(bloom_ref), bloom_ref.hex()
         )
         df = batch.to_pandas()
         keys = df["o_orderkey"].to_numpy("int64")
@@ -1870,8 +1872,9 @@ def docs_tfidf_terms(sf_dir: str, k: int = 3,
         df = -1 so the shuffle join only carries light rows."""
         from ..stages.base import worker_cached
 
-        heavy = worker_cached(("tfidf_heavy", heavy_ref.hex()),
-                              lambda: ray.get(heavy_ref))
+        heavy = worker_cached("tfidf_heavy",
+                              lambda: ray.get(heavy_ref),
+                              heavy_ref.hex())
         df = batch.to_pandas()
         # Series.map(dict) is the C-path lookup; misses become -1
         df["df"] = df["token"].map(heavy).fillna(-1).astype("int64")
@@ -2404,7 +2407,7 @@ def parts_above_brand_avg(sf_dir: str):
     def above(df: pd.DataFrame) -> pd.DataFrame:
         from ..stages.base import worker_cached
 
-        m = worker_cached(("brand_avg", bref.hex()), lambda: ray.get(bref))
+        m = worker_cached("brand_avg", lambda: ray.get(bref), bref.hex())
         price = cents(df["p_retailprice"].to_numpy())
         sums = df["p_brand"].map(lambda b: m[b][0]).to_numpy(np.int64)
         ns = df["p_brand"].map(lambda b: m[b][1]).to_numpy(np.int64)

@@ -76,13 +76,19 @@ def truncate_example(tokens, tok_start, tok_end, max_len: int = MAX_LEN):
 
 
 # per-worker-process stage cache for task-based map_batches: construction
-# runs once per worker per key (actor-style init without the actor-pool
-# dispatch bottleneck); used by extraction, linking, and edge-combine tasks
+# runs once per worker per kind (actor-style init without the actor-pool
+# dispatch bottleneck); used by extraction, linking, edge-combine tasks and
+# every broadcast lookup table.  Task workers are long-lived and reused
+# across Dataset executions, so the cache holds ONE entry per kind: a call
+# with a new ``version`` (the hex of a fresh ``ray.put`` ref) rebuilds and
+# replaces the old entry instead of keeping a stale copy per call.
 _WORKER_CACHE: dict = {}
 
 
-def worker_cached(key, builder):
-    obj = _WORKER_CACHE.get(key)
-    if obj is None:
-        obj = _WORKER_CACHE[key] = builder()
-    return obj
+def worker_cached(kind, builder, version=None):
+    """``builder()``'s result, cached per worker process under ``kind``;
+    rebuilt when ``version`` differs from the cached entry's."""
+    hit = _WORKER_CACHE.get(kind)
+    if hit is None or hit[0] != version:
+        hit = _WORKER_CACHE[kind] = (version, builder())
+    return hit[1]

@@ -14,13 +14,10 @@ from __future__ import annotations
 from ..sources.readers import table_from_pandas
 
 import hashlib
-import logging
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-
-logger = logging.getLogger(__name__)
 
 # ---- exact dedup ---------------------------------------------------------
 
@@ -307,8 +304,9 @@ def _salted_cells(ds, salts_ref, cache_key: str):
 
     def replicate(df: pd.DataFrame) -> pd.DataFrame:
         lut = worker_cached(
-            (cache_key, salts_ref.hex()),
+            cache_key,
             lambda: pd.Series(ray.get(salts_ref), dtype="int64"),
+            salts_ref.hex(),
         )
         out = df.reset_index(drop=True)
         if len(out):
@@ -710,170 +708,43 @@ def dup_clusters(docs_ds, pairs_ds, max_iters: int = 25,
     no pair are their own singleton cluster).  This is the operator that
     turns pairwise dedup output into "keep one doc per duplicate cluster".
 
-    Distributed min-label propagation (the standard large-graph CC shape),
-    restricted to PAIR-INCIDENT nodes: near-dups are a small fraction of
-    any corpus, so the iterated label table is pair-graph-sized, never
-    corpus-sized.  Round 1 folds into init (label(u) = min(u, neighbors));
-    each later round co-locates labels with out-edges (one bucketed
-    reduce) and takes the per-node min of forwarded labels (a second).
-    Labels decrease monotonically, so the ``sum(label)`` scalar detects
-    the fixpoint exactly; rounds = component diameter (tiny for dedup
-    clusters).  One final doc-keyed bucketed reduce attaches the converged
-    labels to the full doc table (converged label ≤ doc_id, so the attach
-    is a plain min over {self-row, label-row}) — the ONLY corpus-wide
-    shuffle in the operator.  Nothing corpus-sized touches the driver.
-
-    Size-gated plan (the PageRank pattern): when the pair graph is small
-    (``<= small_edge_limit`` directed edges — the NORMAL dedup regime,
-    near-dup pairs are a sliver of any corpus), the bounded edge list is
-    collected and union-find runs on the driver, replacing O(diameter)
-    shuffle rounds with zero; the corpus-wide attach reduce is unchanged.
-    Output is identical either way (same recursive-CTE oracle).
+    The components come from
+    :func:`~..functions.graphs.min_label_components` over the pair graph
+    with int64 labels, restricted to PAIR-INCIDENT nodes: near-dups are a
+    small fraction of any corpus, so the label table is pair-graph-sized,
+    never corpus-sized.  Up to ``small_edge_limit`` directed edges (the
+    normal dedup regime) union-find runs on the driver; above it,
+    distributed min-label propagation runs for up to ``max_iters`` rounds
+    (extended to a hard cap, then ``RuntimeError``).  One final doc-keyed
+    bucketed reduce attaches the labels to the full doc table (a label is
+    ≤ its doc_id, so the attach is a plain min over {self-row,
+    label-row}) — the ONLY corpus-wide shuffle in the operator.  Nothing
+    corpus-sized touches the driver.
     """
+    from ..functions.graphs import min_label_components
     from ..functions.grouping import bucketed_group_apply
 
     def self_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"doc_id": df["doc_id"].astype("int64"),
-             "label": df["doc_id"].astype("int64")}
-        )
+        ids = df["doc_id"].astype("int64")
+        return pd.DataFrame({"node": ids, "label": ids})
+
+    def as_uv(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"u": df["doc_a"].astype("int64"),
+                             "v": df["doc_b"].astype("int64")})
+
+    def take_min(df: pd.DataFrame) -> pd.DataFrame:
+        out = df.groupby("node", as_index=False)["label"].min()
+        return out.astype("int64").rename(
+            columns={"node": "doc_id", "label": "cluster_id"})
 
     singles = docs_ds.select_columns(["doc_id"]).map_batches(
         self_rows, batch_format="pandas"
     )
-
-    def take_min(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("doc_id", as_index=False)["label"].min()
-        return out.astype("int64")
-
-    def finish(labels_ds):
-        return bucketed_group_apply(
-            singles.union(labels_ds), "doc_id", take_min
-        ).map_batches(
-            lambda df: df.rename(columns={"label": "cluster_id"}),
-            batch_format="pandas",
-        )
-
-    def both_dirs(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "src": pd.concat([df["doc_a"], df["doc_b"]]).astype("int64"),
-                "dst": pd.concat([df["doc_b"], df["doc_a"]]).astype("int64"),
-            }
-        )
-
-    edges = pairs_ds.map_batches(both_dirs, batch_format="pandas")
-    n_edges = edges.count()
-    if n_edges == 0:
-        import ray
-
-        return finish(ray.data.from_pandas(
-            pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                          "label": pd.Series([], dtype="int64")})
-        ))
-    if n_edges <= small_edge_limit:
-        import ray
-
-        ep = edges.to_pandas()  # bounded by small_edge_limit
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            r = x
-            while parent.get(r, r) != r:
-                r = parent[r]
-            while parent.get(x, x) != x:  # path compression
-                parent[x], x = r, parent[x]
-            return r
-
-        for a, b in zip(ep["src"].to_numpy(), ep["dst"].to_numpy()):
-            ra, rb = find(int(a)), find(int(b))
-            if ra != rb:
-                # union by min: the root is always the component minimum,
-                # which is exactly the converged propagation label
-                if ra < rb:
-                    parent[rb] = ra
-                else:
-                    parent[ra] = rb
-        nodes = sorted(parent.keys() | set(
-            int(x) for x in ep["src"].to_numpy()
-        ))
-        return finish(ray.data.from_pandas(pd.DataFrame(
-            {"doc_id": pd.Series(nodes, dtype="int64"),
-             "label": pd.Series([find(n) for n in nodes], dtype="int64")}
-        )))
-    edges = edges.materialize()
-
-    # init == round 1: label(u) = min(u, neighbors(u)) per incident node
-    def init_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": pd.concat([df["dst"], df["dst"]]).astype("int64"),
-                "label": pd.concat([df["src"], df["dst"]]).astype("int64"),
-            }
-        )
-
-    labels = bucketed_group_apply(
-        edges.map_batches(init_rows, batch_format="pandas"),
-        "doc_id", take_min,
-    ).materialize()
-
-    def tag_label(df: pd.DataFrame) -> pd.DataFrame:
-        # label row: key = the node whose label this is; dst = -1
-        return pd.DataFrame(
-            {"key": df["doc_id"], "dst": np.int64(-1), "label": df["label"]}
-        )
-
-    def tag_edge(df: pd.DataFrame) -> pd.DataFrame:
-        # edge row keyed by src: wants src's label forwarded to dst
-        return pd.DataFrame(
-            {"key": df["src"], "dst": df["dst"], "label": np.int64(-1)}
-        )
-
-    def forward(df: pd.DataFrame) -> pd.DataFrame:
-        """Per key node: its own label row re-emits (dst=key), and each
-        edge row emits (dst, key's label) — vectorized over the bucket."""
-        lab = df[df["dst"] == -1][["key", "label"]]
-        e = df[df["dst"] != -1][["key", "dst"]]
-        own = lab.rename(columns={"key": "dst"})
-        fwd = e.merge(lab, on="key")[["dst", "label"]]
-        out = pd.concat([own, fwd], ignore_index=True)
-        return out.rename(columns={"dst": "doc_id"})
-
-    def sum_labels(ds) -> int:
-        agg = ds.sum("label")
-        return int(agg) if not isinstance(agg, dict) else int(agg["sum(label)"])
-
-    # labels are monotone non-increasing, so an unchanged sum is a true
-    # fixpoint; extend past max_iters (diameter > budget is plausible in
-    # the huge-graph regime this path serves) and fail loudly rather than
-    # return silently-unconverged cluster ids
-    prev_sum = sum_labels(labels)
-    hard_cap = max(max_iters * 8, max_iters + 1)
-    converged = False
-    for it in range(hard_cap):
-        lab_rows = labels.map_batches(tag_label, batch_format="pandas")
-        edge_rows = edges.map_batches(tag_edge, batch_format="pandas")
-        msgs = bucketed_group_apply(lab_rows.union(edge_rows), "key", forward)
-        labels = bucketed_group_apply(msgs, "doc_id", take_min).materialize()
-        cur_sum = sum_labels(labels)
-        if cur_sum == prev_sum:  # monotone labels: equal sum == fixpoint
-            converged = True
-            break
-        prev_sum = cur_sum
-        if it + 1 == max_iters:
-            logger.warning(
-                "dup_clusters: no fixpoint after max_iters=%d rounds; "
-                "extending to %d (pair-graph diameter exceeds budget)",
-                max_iters, hard_cap,
-            )
-    if not converged:
-        raise RuntimeError(
-            f"dup_clusters: label propagation did not converge within "
-            f"{hard_cap} rounds — pair-graph diameter exceeds the "
-            f"iteration budget; raise max_iters"
-        )
-
-    return finish(labels)
+    labels = min_label_components(
+        pairs_ds.map_batches(as_uv, batch_format="pandas"),
+        max_iters=max_iters, small_edge_limit=small_edge_limit,
+    )
+    return bucketed_group_apply(singles.union(labels), "node", take_min)
 
 
 def dup_clusters_sql(pairs_sql: str) -> str:
@@ -972,8 +843,9 @@ def decontaminate(
     def fn(batch: pa.Table) -> pa.Table:
         from .base import worker_cached
 
-        bench = worker_cached(("decon_bench", bref.hex()),
-                              lambda: ray.get(bref))
+        bench = worker_cached("decon_bench",
+                              lambda: ray.get(bref),
+                              bref.hex())
         ids = batch["doc_id"].to_pylist()
         texts = batch["text"].to_pylist()
         out = {"doc_id": [], "n_grams": [], "n_hit_grams": [],

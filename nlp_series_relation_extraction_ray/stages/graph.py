@@ -109,8 +109,9 @@ def _task_edge_partials(batch: pa.Table, ref_key, alias_index_ref) -> pa.Table:
     from .base import worker_cached
 
     stage = worker_cached(
-        ("edges", ref_key),
+        "edges",
         lambda: EdgePartials(alias_index_ref=alias_index_ref),
+        ref_key,
     )
     return stage(batch)
 

@@ -105,8 +105,9 @@ def task_link(batch: pa.Table, ref_key, alias_index_ref) -> pa.Table:
     from .base import worker_cached
 
     linker = worker_cached(
-        ("link", ref_key),
+        "link",
         lambda: EntityLinker(alias_index_ref=alias_index_ref),
+        ref_key,
     )
     return linker(batch)
 

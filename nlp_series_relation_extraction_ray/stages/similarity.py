@@ -414,8 +414,9 @@ def kmeans_cluster_stats(emb_ds, n_clusters: int = 16,
     def assign(df: pd.DataFrame) -> pd.DataFrame:
         from ..stages.base import worker_cached
 
-        cents = worker_cached(("kmeans_cents", cref.hex()),
-                              lambda: ray.get(cref))
+        cents = worker_cached("kmeans_cents",
+                              lambda: ray.get(cref),
+                              cref.hex())
         vecs = _normalize(np.stack(
             [np.asarray(v, dtype=np.float64) for v in df["embedding"]]))
         sims = vecs @ cents.T
@@ -512,8 +513,9 @@ def semantic_dedup_keep(
     cref = ray.put(kmeans_centroids(train, n_clusters))
 
     def assign(batch: pa.Table) -> pa.Table:
-        cents = worker_cached(("semdedup_cents", cref.hex()),
-                              lambda: ray.get(cref))
+        cents = worker_cached("semdedup_cents",
+                              lambda: ray.get(cref),
+                              cref.hex())
         vecs, ids = _batch_matrix(batch)
         vecs = _normalize(vecs)
         cl = np.argmax(vecs @ cents.T, axis=1).astype(np.int64)

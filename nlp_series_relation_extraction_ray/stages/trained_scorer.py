@@ -156,28 +156,6 @@ def _extract_batch_baseline(W: np.ndarray, b: np.ndarray, head,
     )
 
 
-# Per-worker-process cache of broadcast model state for the TASK-pool plan:
-# task workers are long-lived and REUSED across Dataset executions (unlike a
-# map_batches actor fleet, which is spawned fresh per execution), so the
-# first batch a worker sees pays one zero-copy ``ray.get`` from the local
-# object store and every later batch — including batches of a LATER job in
-# the same session — reads process memory.  Keyed by ObjectRef so a new
-# checkpoint broadcast invalidates naturally; only the newest entry is kept
-# (one checkpoint is live at a time), so repeated trainings in one session
-# do not grow worker memory.
-_WORKER_STATE_CACHE: dict = {}
-
-
-def _cached_weights(weights_ref):
-    import ray
-
-    key = weights_ref.hex() if hasattr(weights_ref, "hex") else id(weights_ref)
-    if key not in _WORKER_STATE_CACHE:
-        _WORKER_STATE_CACHE.clear()
-        _WORKER_STATE_CACHE[key] = (ray.get(weights_ref), BaselineHead())
-    return _WORKER_STATE_CACHE[key]
-
-
 class TrainedBaselineExtractor:
     """Actor-pool stage: trained weights in, triples out.
 
@@ -204,11 +182,11 @@ def extract_triples_trained(
 
     - ``plan="tasks"`` (default): plain ``map_batches`` over the shared
       long-lived task workers, weights resolved through the per-process
-      :data:`_WORKER_STATE_CACHE` (one zero-copy plasma read per worker,
-      ever).  Because task workers survive across Dataset executions, a
-      session's SECOND trained job starts at full speed — an actor fleet
-      would re-pay process spawn × imports × weight fetch per execution,
-      which is exactly the cold/warm gap the bench history showed
+      :func:`~.base.worker_cached` cache (one zero-copy plasma read per
+      worker per broadcast).  Because task workers survive across Dataset
+      executions, a session's SECOND trained job starts at full speed — an
+      actor fleet would re-pay process spawn × imports × weight fetch per
+      execution, which is exactly the cold/warm gap the bench history showed
       (r2 7.2 s → r3 18.7 s → r4 8.55 s warm with identical code).  The
       state is immutable broadcast data, so actor affinity buys nothing.
     - ``plan="actors"``: the explicit actor-pool stage
@@ -226,8 +204,18 @@ def extract_triples_trained(
     if set(needed) < set(names):
         transcripts_ds = transcripts_ds.select_columns(needed)
     if plan == "tasks":
+        import ray
+
+        from .base import worker_cached
+
+        version = weights_ref.hex()
+
         def fn(batch: pa.Table) -> pa.Table:
-            (W, b), head = _cached_weights(weights_ref)
+            # a new weights broadcast replaces the worker's cached entry
+            (W, b), head = worker_cached(
+                "trained_weights",
+                lambda: (ray.get(weights_ref), BaselineHead()), version,
+            )
             return _extract_batch_baseline(W, b, head, batch)
 
         return transcripts_ds.map_batches(

@@ -66,6 +66,12 @@ def test_entity_eval(ray_session):
     assert m["entity_recall"] == 100.0
 
 
+def test_extract_unknown_emit_raises(ray_session):
+    """A misspelt ``emit`` must fail loudly, not silently emit triples."""
+    with pytest.raises(ValueError, match="emit 'entity'"):
+        extract_triples(t.transcripts_dataset(2), emit="entity")
+
+
 def test_reconstruction_invariant(ray_session, transcripts):
     """groupby(conv_id)+sort(turn_idx) must reproduce the generated per-turn
     text exactly even though rows are emitted shuffled."""

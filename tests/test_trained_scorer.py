@@ -102,13 +102,48 @@ def test_worker_weight_cache_keeps_newest_only(ray_session):
     import numpy as np
     import ray
 
-    from nlp_series_relation_extraction_ray.stages import trained_scorer as ts
+    from nlp_series_relation_extraction_ray.stages import base
 
     refs = [ray.put((np.full(2, i), np.zeros(1))) for i in range(3)]
-    for ref in refs:
-        (W, _), _head = ts._cached_weights(ref)
-        assert W[0] == refs.index(ref)
-    assert list(ts._WORKER_STATE_CACHE) == [refs[-1].hex()]
+    try:
+        for i, ref in enumerate(refs):
+            W, _ = base.worker_cached(
+                "test_weights", lambda: ray.get(ref), ref.hex())
+            assert W[0] == i
+        assert base._WORKER_CACHE["test_weights"][0] == refs[-1].hex()
+    finally:
+        base._WORKER_CACHE.pop("test_weights", None)
+
+
+def test_worker_cache_one_entry_per_kind(ray_session):
+    """Two kinds keep one (newest) entry each; a key with no version is
+    built once and kept."""
+    import ray
+
+    from nlp_series_relation_extraction_ray.stages import base
+
+    kinds = ["test_kind_a", "test_kind_b", ("test_stable", "x")]
+    builds = []
+
+    def build(kind, ref=None):
+        builds.append(kind)
+        return ray.get(ref) if ref is not None else kind
+
+    try:
+        for i in range(3):
+            for kind in kinds[:2]:
+                ref = ray.put(f"{kind}{i}")
+                got = base.worker_cached(kind, lambda: build(kind, ref),
+                                         ref.hex())
+                assert got == f"{kind}{i}"
+            assert base.worker_cached(
+                kinds[2], lambda: build(kinds[2])) == kinds[2]
+        assert [k for k in base._WORKER_CACHE if k in kinds] == kinds
+        assert builds.count(kinds[2]) == 1
+        assert builds.count("test_kind_a") == builds.count("test_kind_b") == 3
+    finally:
+        for kind in kinds:
+            base._WORKER_CACHE.pop(kind, None)
 
 
 def test_trained_weights_deterministic():
