@@ -1,17 +1,31 @@
-"""Hash-bucketed group-apply: the vectorized reduce for high-cardinality keys.
+"""Grouped merges: the one place that picks a merge plan.
 
 ``Dataset.groupby(key).map_groups(fn)`` calls ``fn`` once per group with a
 per-group pandas frame — correct, but at 10⁶+ distinct keys the per-group
 frame construction dominates (100 µs × 10⁶ groups ≈ minutes of pure
-overhead).  ``bucketed_group_apply`` shuffles on ``hash(key) % n_buckets``
-instead, so the reduce UDF receives ONE multi-group frame per bucket and
-runs a *vectorized* ``df.groupby(key)`` over thousands of keys at once.
+overhead).  ``bucketed_group_apply`` hands its UDF whole multi-group
+frames instead, and the UDF runs a *vectorized* ``df.groupby(key)`` over
+thousands of keys at once.
 
-Partitioning guarantee is identical (every row of a key lands in exactly one
-bucket — the hash is a pure function of the key columns), reducer count is
-bounded by ``n_buckets`` (size it ≈ 2-4× cluster cores; each bucket holds
-~N/n_buckets rows), and the output is the concatenation of the per-bucket
-frames — same rows as per-group map_groups, in no guaranteed order.
+It materializes its input once and reads the rows and bytes from the block
+metadata; the two plans then differ only in how rows reach ``fn``:
+
+- ``single``: at or below ``SINGLE_BLOCK_MAX_ROWS`` rows and
+  ``SINGLE_BLOCK_MAX_BYTES`` bytes, the input is collected into one block
+  (through the driver, so the byte limit also bounds driver memory) and
+  ``fn`` runs once over all of it in one task.  Most merges here see such
+  inputs, because the map-side combiners already shrink corpus-sized
+  inputs to key-sized partials, and a sort all-to-all costs about a second
+  of fixed coordination however small its input is.
+- ``distributed``: above either limit, rows are shuffled on
+  ``hash(key) % n_buckets`` with ``n_buckets`` = 2 × the cluster's CPUs,
+  and ``fn`` runs once per bucket.  Every row of a key lands in exactly
+  one bucket, since the hash is a pure function of the key columns.
+
+Either way the output is the concatenation of ``fn``'s frames — the same
+rows as per-group ``map_groups``, in no guaranteed order.  Each call logs
+one INFO record whose ``stats`` attribute holds the keys, the plan, the
+input rows and bytes and the bucket count.
 
 The hash is ``pandas.util.hash_pandas_object`` (fixed internal key —
 deterministic across processes and machines, vectorized over the column).
@@ -23,8 +37,16 @@ with the map-side combiner and the merge both derived from one spec.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pandas as pd
+
+logger = logging.getLogger(__name__)
+
+# an input at or below both limits is merged in one block (the single plan)
+SINGLE_BLOCK_MAX_ROWS = 50_000
+SINGLE_BLOCK_MAX_BYTES = 64 << 20
 
 
 def _bucket_of(df: pd.DataFrame, keys: list[str], n_buckets: int) -> np.ndarray:
@@ -71,9 +93,10 @@ def _coerce_empty(empty_result) -> pd.DataFrame | None:
     return empty_result.iloc[0:0]
 
 
-def bucketed_group_apply(ds, keys, fn, n_buckets: int = 64,
-                         empty_result=None):
-    """``fn(bucket_df) -> DataFrame`` over hash buckets of ``keys``.
+def bucketed_group_apply(ds, keys, fn, empty_result=None):
+    """``fn(df) -> DataFrame`` over frames that each hold whole groups of
+    ``keys``, merged by the plan the input's size selects (module
+    docstring).
 
     ``fn`` sees all rows of many whole groups at once and must itself group
     by ``keys`` (vectorized ``df.groupby``) — it is never handed a partial
@@ -88,20 +111,54 @@ def bucketed_group_apply(ds, keys, fn, n_buckets: int = 64,
     naturally); only a schema-less zero-row input with no hint falls back
     to the schema-less empty.
 
-    Sentinel rows: when the distinct-key count is SMALL (a handful of
-    cluster ids, a tiny test fixture), Ray's sort shuffle produces empty
-    partitions (more range boundaries than distinct ``__bucket`` values),
-    and empty partitions bypass the UDF and surface as schema-less bundles
-    (the ``RefBundle with a different schema`` warnings — and, at scale,
-    schema-divergent empty blocks in downstream unions/writes).  So one
-    sentinel row per bucket id is appended to every non-empty input block
-    (the block's own first row, ``__bucket`` overwritten — dtypes exactly
-    preserved, ``n_buckets`` extra rows per block, ≈0.1% of a real block)
-    and every bucket value is always populated; sentinels are dropped
-    before ``fn`` runs.
+    Sentinel rows (distributed plan): when the distinct-key count is SMALL
+    (a handful of cluster ids, a tiny test fixture), Ray's sort shuffle
+    produces empty partitions (more range boundaries than distinct
+    ``__bucket`` values), and empty partitions bypass the UDF and surface
+    as schema-less bundles (the ``RefBundle with a different schema``
+    warnings — and, at scale, schema-divergent empty blocks in downstream
+    unions/writes).  So one sentinel row per bucket id is appended to every
+    non-empty input block (the block's own first row, ``__bucket``
+    overwritten — dtypes exactly preserved, ``n_buckets`` extra rows per
+    block) and every bucket value is always populated; sentinels are
+    dropped before ``fn`` runs.
     """
+    import ray
+
     keys = [keys] if isinstance(keys, str) else list(keys)
     empty_out = _coerce_empty(empty_result)
+    ds = ds.materialize()
+    rows, nbytes = ds.count(), ds.size_bytes()
+    if rows <= SINGLE_BLOCK_MAX_ROWS and nbytes <= SINGLE_BLOCK_MAX_BYTES:
+        plan, n_buckets = "single", 1
+    else:
+        plan = "distributed"
+        n_buckets = 2 * max(1, int(ray.cluster_resources().get("CPU", 1)))
+    stats = {"keys": keys, "plan": plan, "rows": rows, "bytes": nbytes,
+             "n_buckets": n_buckets}
+    logger.info("bucketed_group_apply: keys=%s plan=%s rows=%d bytes=%d "
+                "n_buckets=%d", keys, plan, rows, nbytes, n_buckets,
+                extra={"stats": stats})
+
+    def apply(df: pd.DataFrame) -> pd.DataFrame:
+        if "__sentinel" in df.columns:
+            df = df[~df["__sentinel"]].drop(columns=["__sentinel", "__bucket"])
+        if len(df) == 0:
+            if empty_out is not None:
+                return empty_out.copy()
+            if not all(k in df.columns for k in keys):
+                # schema-less zero-row frame and no hint: emit nothing (fn
+                # would not know this schema either)
+                return pd.DataFrame()
+        return fn(df)
+
+    if plan == "single":
+        # one block through the driver: ``to_pandas`` also merges a mix of
+        # Arrow and pandas blocks (a union of pyarrow and pandas map
+        # outputs), which ``repartition(1)`` rejects
+        return ray.data.from_pandas(ds.to_pandas()).map_batches(
+            apply, batch_format="pandas", batch_size=None
+        )
 
     def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
@@ -119,54 +176,10 @@ def bucketed_group_apply(ds, keys, fn, n_buckets: int = 64,
             df = pd.concat([df, sent], ignore_index=True)
         return df
 
-    def apply_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if "__sentinel" in df.columns:
-            df = df[~df["__sentinel"]].drop(columns="__sentinel")
-        df = df.drop(columns="__bucket")
-        if len(df) == 0:
-            if empty_out is not None:
-                return empty_out.copy()
-            if not all(k in df.columns for k in keys):
-                # schema-less zero-row frame and no hint: emit nothing (fn
-                # would not know this schema either)
-                return pd.DataFrame()
-        return fn(df)
-
     return (
         ds.map_batches(add_bucket, batch_format="pandas")
         .groupby("__bucket")
-        .map_groups(apply_bucket, batch_format="pandas")
-    )
-
-
-def coalesced_group_apply(ds, keys, fn, empty_result=None):
-    """Single-block group apply for SMALL post-reduce datasets.
-
-    A final ``Dataset.groupby(key).map_groups(fn)`` over a handful of
-    groups (priorities, nations, event types) still pays a full sort
-    all-to-all — ~seconds of fixed coordination for KB of data.  When the
-    input is already bounded (the output of a bucketed reduce:
-    ≤ #buckets × #groups rows), coalescing to ONE block and grouping in
-    pandas is strictly cheaper and scale-safe.
-
-    Use ONLY for finals whose group count is intrinsically small and whose
-    input is a reduce output — never for corpus-cardinality keys (those
-    stay on ``bucketed_group_apply``).
-    """
-    keys = [keys] if isinstance(keys, str) else list(keys)
-    empty_out = _coerce_empty(empty_result)
-
-    def apply_all(df: pd.DataFrame) -> pd.DataFrame:
-        empty = (
-            empty_out.copy() if empty_out is not None else pd.DataFrame()
-        )
-        if len(df) == 0:
-            return empty
-        outs = [fn(g) for _, g in df.groupby(keys, sort=False)]
-        return pd.concat(outs, ignore_index=True) if outs else empty
-
-    return ds.repartition(1).map_batches(
-        apply_all, batch_format="pandas", batch_size=None
+        .map_groups(apply, batch_format="pandas")
     )
 
 
@@ -175,7 +188,7 @@ def coalesced_group_apply(ds, keys, fn, empty_result=None):
 _MERGE_OF = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
 
 
-def two_phase_agg(ds, keys, aggs, prep=None, having=None, small=False):
+def two_phase_agg(ds, keys, aggs, prep=None, having=None):
     """``SELECT keys, aggs FROM ds GROUP BY keys [HAVING ...]`` as a
     map-side combiner plus one merge.
 
@@ -190,11 +203,8 @@ def two_phase_agg(ds, keys, aggs, prep=None, having=None, small=False):
       sums and counts come out as int64 (exact integer / fixed-point
       cents), min/max and the key columns keep their input dtype.
       ``having(df) -> bool mask`` filters the MERGED groups, so a key that
-      passes only on its global total is kept.
-    - Fabric: ``small=False`` merges through :func:`bucketed_group_apply`
-      (corpus-cardinality keys); ``small=True`` merges in one coalesced
-      block, for results whose group count is intrinsically small (types,
-      bands, priorities, regions).
+      passes only on its global total is kept.  The merge runs through
+      :func:`bucketed_group_apply`, which picks its plan.
 
     Output: keys, then ``aggs`` in spec order; no guaranteed row order.
     """
@@ -225,12 +235,8 @@ def two_phase_agg(ds, keys, aggs, prep=None, having=None, small=False):
             out = out[having(out)].reset_index(drop=True)
         return out
 
-    partials = ds.map_batches(partial, batch_format="pandas")
-    if small:
-        return partials.repartition(1).map_batches(
-            merge, batch_format="pandas", batch_size=None
-        )
-    return bucketed_group_apply(partials, keys, merge)
+    return bucketed_group_apply(
+        ds.map_batches(partial, batch_format="pandas"), keys, merge)
 
 
 def text_tokens(df: pd.DataFrame, distinct: bool = False) -> pd.DataFrame:

@@ -209,20 +209,22 @@ def events_user_hll(sf_dir: str):
     partials = ds.map_batches(partial, batch_format="pyarrow")
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
-        regs = np.zeros(_HLL_M, dtype=np.uint8)
-        for blob in df["regs"]:
-            regs = hll_merge(regs, np.frombuffer(blob, dtype=np.uint8))
-        return pd.DataFrame(
-            {
-                "event_type": [df["event_type"].iloc[0]],
-                "n_users_approx": [hll_estimate(regs)],
-            }
-        )
+        rows = []
+        for et, g in df.groupby("event_type", sort=False):
+            regs = np.zeros(_HLL_M, dtype=np.uint8)
+            for blob in g["regs"]:
+                regs = hll_merge(regs, np.frombuffer(blob, dtype=np.uint8))
+            rows.append({"event_type": et,
+                         "n_users_approx": hll_estimate(regs)})
+        return pd.DataFrame(rows)
 
-    from .grouping import coalesced_group_apply
+    from .grouping import bucketed_group_apply
 
-    # #batches x #types fixed-size register rows: single-block merge
-    return coalesced_group_apply(partials, "event_type", merge)
+    # #batches x #types fixed-size register rows
+    return bucketed_group_apply(
+        partials, "event_type", merge,
+        empty_result={"event_type": "object", "n_users_approx": "int64"},
+    )
 
 
 def docs_top_tokens_mg(sf_dir: str, k: int = 20, counters: int = 256):
@@ -353,7 +355,6 @@ def _value_ranges(ds):
 
     return two_phase_agg(
         ds, "event_type", {"lo": ("value", "min"), "hi": ("value", "max")},
-        small=True,
     ).to_pandas()
 
 
@@ -412,40 +413,28 @@ def events_value_quantiles_hist(sf_dir: str, bins: int = HIST_BINS):
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
         rng = ray.get(range_ref)
-        et = df["event_type"].iloc[0]
-        counts = np.zeros(bins, dtype=np.int64)
-        for blob in df["counts"]:
-            counts += np.frombuffer(blob, dtype=np.int64)
-        lo, hi = rng[et]
-        return pd.DataFrame(
-            {
-                "event_type": [et],
-                "n": [int(counts.sum())],
-                "p50": [hist_quantile(counts, 0.50, lo, hi)],
-                "p90": [hist_quantile(counts, 0.90, lo, hi)],
-                "p99": [hist_quantile(counts, 0.99, lo, hi)],
-            }
-        )
+        rows = []
+        for et, g in df.groupby("event_type", sort=False):
+            counts = np.zeros(bins, dtype=np.int64)
+            for blob in g["counts"]:
+                counts += np.frombuffer(blob, dtype=np.int64)
+            lo, hi = rng[et]
+            rows.append({
+                "event_type": et,
+                "n": int(counts.sum()),
+                "p50": hist_quantile(counts, 0.50, lo, hi),
+                "p90": hist_quantile(counts, 0.90, lo, hi),
+                "p99": hist_quantile(counts, 0.99, lo, hi),
+            })
+        return pd.DataFrame(rows)
 
-    # #types is tiny — the merge input is #batches × #types summary rows,
-    # so one coalesced block groups them without a sort all-to-all (whose
-    # empty partitions would emit schema-less bundles)
-    def merge_all(df: pd.DataFrame) -> pd.DataFrame:
-        outs = [merge(g) for _, g in df.groupby("event_type", sort=False)]
-        if not outs:
-            return pd.DataFrame(
-                {
-                    "event_type": pd.Series([], dtype="object"),
-                    "n": pd.Series([], dtype="int64"),
-                    "p50": pd.Series([], dtype="float64"),
-                    "p90": pd.Series([], dtype="float64"),
-                    "p99": pd.Series([], dtype="float64"),
-                }
-            )
-        return pd.concat(outs, ignore_index=True)
+    from .grouping import bucketed_group_apply
 
-    return partials.repartition(1).map_batches(
-        merge_all, batch_format="pandas", batch_size=None
+    # the merge input is #batches × #types fixed-size summary rows
+    return bucketed_group_apply(
+        partials, "event_type", merge,
+        empty_result={"event_type": "object", "n": "int64",
+                      "p50": "float64", "p90": "float64", "p99": "float64"},
     )
 
 

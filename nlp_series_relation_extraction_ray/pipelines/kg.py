@@ -9,7 +9,7 @@ the two downstream consumers — re-reading a checkpoint beats re-executing the
 extraction lineage twice, and the checkpoint is what makes a rerun resumable
 (``state/checkpoint.py``).
 
-Also hosts conversation reconstruction (G3): ``groupby(conv_id)`` +
+Also hosts conversation reconstruction (G3): a ``conv_id``-keyed merge +
 intra-group sort by ``turn_idx`` — the stage that witnesses the per-turn text
 invariant from BASELINE.json's ``input_hint``.
 """
@@ -24,32 +24,43 @@ import pandas as pd
 from .extract import extract_triples
 
 
+def _summarize_conversations(df: pd.DataFrame) -> pd.DataFrame:
+    """One summary row per ``conv_id`` of a multi-conversation frame:
+    sorted by (``conv_id``, ``turn_idx``), then one pass over the sorted
+    texts computes each conversation's digest."""
+    df = df.sort_values(["conv_id", "turn_idx"], kind="stable")
+    g = df.groupby("conv_id", sort=False)
+    conv = df["conv_id"].to_numpy()
+    starts = np.flatnonzero(np.r_[True, conv[1:] != conv[:-1]])
+    ends = np.r_[starts[1:], len(df)]
+    texts = df["text"].tolist()
+    return pd.DataFrame({
+        "conv_id": conv[starts],
+        "n_turns": g.size().to_numpy(np.int64),
+        "turn_idx_sum": g["turn_idx"].sum().to_numpy(np.int64),
+        "n_roles": g["role"].nunique().to_numpy(np.int64),
+        # t1 NUL t2 NUL ... tn NUL: the per-turn rolling digest's bytes
+        "text_sha": [
+            hashlib.sha256(("\x00".join(texts[a:b]) + "\x00").encode())
+            .hexdigest() for a, b in zip(starts, ends)
+        ],
+    })
+
+
 def reconstruct_conversations(transcripts_ds):
     """Per-conversation summary after restoring stable turn order.
 
-    Rows arrive physically shuffled; each group is sorted by ``turn_idx``
-    before the rolling text digest, so the digest is a pure function of the
-    conversation content — the per-turn text-equality invariant.
+    Rows arrive physically shuffled; each conversation is sorted by
+    ``turn_idx`` before the text digest, so the digest is a pure function
+    of the conversation content — the per-turn text-equality invariant.
     """
+    from ..functions.grouping import bucketed_group_apply
 
-    def summarize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values("turn_idx")
-        digest = hashlib.sha256()
-        for t in df["text"]:
-            digest.update(t.encode())
-            digest.update(b"\x00")
-        return pd.DataFrame(
-            {
-                "conv_id": [df["conv_id"].iloc[0]],
-                "n_turns": [len(df)],
-                "turn_idx_sum": [int(df["turn_idx"].sum())],
-                "n_roles": [int(df["role"].nunique())],
-                "text_sha": [digest.hexdigest()],
-            }
-        )
-
-    return transcripts_ds.groupby("conv_id").map_groups(
-        summarize, batch_format="pandas"
+    return bucketed_group_apply(
+        transcripts_ds, "conv_id", _summarize_conversations,
+        empty_result={"conv_id": "object", "n_turns": "int64",
+                      "turn_idx_sum": "int64", "n_roles": "int64",
+                      "text_sha": "object"},
     )
 
 

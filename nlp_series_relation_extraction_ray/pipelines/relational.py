@@ -63,7 +63,7 @@ def q1_pricing_summary(sf_dir: str):
             charge_cents=cents(price * (1.0 - disc) * (1.0 + tax)),
         )
 
-    # partials are #batches × 6 rows: single-block final, no sort shuffle
+    # partials are #batches × 6 rows, never a lineitem row
     return two_phase_agg(
         ds, ["l_returnflag", "l_linestatus"],
         {
@@ -73,7 +73,7 @@ def q1_pricing_summary(sf_dir: str):
             "sum_charge_cents": ("charge_cents", "sum"),
             "count_order": ("qty", "count"),
         },
-        prep=prep, small=True,
+        prep=prep,
     )
 
 
@@ -276,12 +276,11 @@ def suppliers_per_region(sf_dir: str):
 
     from ..functions.grouping import two_phase_agg
 
-    # map-side partial count, then a single-block final merge: the shuffle
-    # carries #batches × #(region, nation) partial rows — never a supplier
-    # row — and a 25-group final needs no sort all-to-all
+    # map-side partial count: the merge sees #batches × #(region, nation)
+    # partial rows — never a supplier row
     return two_phase_agg(
         with_region, ["r_name", "n_name"],
-        {"n_suppliers": ("s_suppkey", "count")}, small=True,
+        {"n_suppliers": ("s_suppkey", "count")},
     )
 
 
@@ -360,7 +359,7 @@ def parts_brand_stats(sf_dir: str):
     ds = _read(sf_dir, "part",
                columns=["p_brand", "p_size", "p_retailprice"])
 
-    # 25 brands × #batches partial rows: single-block final
+    # 25 brands × #batches partial rows
     return two_phase_agg(
         ds, "p_brand",
         {
@@ -372,7 +371,6 @@ def parts_brand_stats(sf_dir: str):
             retail_cents=cents(df["p_retailprice"].to_numpy()),
             p_size=df["p_size"].astype("int64"),  # the oracle's BIGINT MAX
         ),
-        small=True,
     )
 
 
@@ -942,7 +940,7 @@ def _exists_priority_counts(qual, ords):
     """(o_orderpriority, n_orders) over the union of qualifying-lineitem
     markers (``is_line`` 1) and order rows (``is_line`` 0), both keyed by
     ``okey``: one bucketed EXISTS reduce pre-counts the surviving orders'
-    priorities per bucket, then a single-block final sums the
+    priorities per bucket, then a final merge sums the
     5 priorities × #buckets pre-counts."""
     from ..functions.grouping import bucketed_group_apply, two_phase_agg
 
@@ -954,7 +952,7 @@ def _exists_priority_counts(qual, ords):
 
     per_bucket = bucketed_group_apply(qual.union(ords), "okey", exists_reduce)
     return two_phase_agg(per_bucket, "o_orderpriority",
-                         {"n_orders": ("n_orders", "sum")}, small=True)
+                         {"n_orders": ("n_orders", "sum")})
 
 
 PRIORITY_EXISTS_SQL = """
@@ -1149,17 +1147,10 @@ def events_distinct_users(sf_dir: str):
     )
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "event_type": [df["event_type"].iloc[0]],
-                "n_users": [int(df["n_users"].sum())],
-            }
-        )
+        return df.groupby("event_type", as_index=False)["n_users"].sum()
 
-    from ..functions.grouping import coalesced_group_apply
-
-    # #types x #buckets pre-counts: single-block final
-    return coalesced_group_apply(per_bucket, "event_type", final)
+    # #types x #buckets pre-counts
+    return bucketed_group_apply(per_bucket, "event_type", final)
 
 
 DISTINCT_USERS_SQL = """
@@ -1337,26 +1328,20 @@ def q5_local_supplier_revenue(
         out["revenue_cents"] = out["revenue_cents"].astype("int64")
         return out
 
-    from ..functions.grouping import bucketed_group_apply
+    from ..functions.grouping import bucketed_group_apply, two_phase_agg
 
     per_bucket = bucketed_group_apply(unioned, "o_orderkey",
                                       same_nation_reduce)
+    per_nation = two_phase_agg(per_bucket, "nationkey",
+                               {"revenue_cents": ("revenue_cents", "sum")})
 
-    nation_name_ref = ray.put(nation_name)
+    def named(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({
+            "n_name": df["nationkey"].map(nation_name).astype(object),
+            "revenue_cents": df["revenue_cents"],
+        })
 
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        names = ray.get(nation_name_ref)
-        return pd.DataFrame(
-            {
-                "n_name": [names[int(df["nationkey"].iloc[0])]],
-                "revenue_cents": [int(df["revenue_cents"].sum())],
-            }
-        )
-
-    from ..functions.grouping import coalesced_group_apply
-
-    # #nations x #buckets partials: single-block final
-    return coalesced_group_apply(per_bucket, "nationkey", final)
+    return per_nation.map_batches(named, batch_format="pandas")
 
 
 Q5_FULL_SQL = """
@@ -1395,7 +1380,7 @@ def events_type_quantiles(sf_dir: str):
     integer arithmetic).  At 10¹² events the shuffle moves #distinct-cents
     × #types rows (~10⁶), never the events.
     """
-    from ..functions.grouping import coalesced_group_apply, two_phase_agg
+    from ..functions.grouping import bucketed_group_apply, two_phase_agg
 
     ds = _read(sf_dir, "events", columns=["event_type", "value"])
     dist = two_phase_agg(
@@ -1405,20 +1390,26 @@ def events_type_quantiles(sf_dir: str):
     )
 
     def quantiles(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values("value_cents")
-        vals = df["value_cents"].to_numpy()
-        cum = df["cnt"].to_numpy().cumsum()
-        n = int(cum[-1])
-        row = {"event_type": [df["event_type"].iloc[0]],
-               "n_events": [n]}
-        for num, den, name in _QUANT_FRACS:
-            idx = (n * num + den - 1) // den - 1  # ceil(q*n) - 1, exact
-            row[name] = [int(vals[np.searchsorted(cum, idx + 1)])]
-        return pd.DataFrame(row)
+        rows = []
+        for et, g in df.sort_values("value_cents").groupby(
+                "event_type", sort=False):
+            vals = g["value_cents"].to_numpy()
+            cum = g["cnt"].to_numpy().cumsum()
+            n = int(cum[-1])
+            row = {"event_type": et, "n_events": n}
+            for num, den, name in _QUANT_FRACS:
+                idx = (n * num + den - 1) // den - 1  # ceil(q*n) - 1, exact
+                row[name] = int(vals[np.searchsorted(cum, idx + 1)])
+            rows.append(row)
+        return pd.DataFrame(rows)
 
     # merged distribution is #distinct-cents x #types rows (bounded by
-    # value precision): single-block final walks each type's cumulative
-    return coalesced_group_apply(dist, "event_type", quantiles)
+    # value precision): the final walks each type's cumulative counts
+    return bucketed_group_apply(
+        dist, "event_type", quantiles,
+        empty_result={"event_type": "object", "n_events": "int64",
+                      **{name: "int64" for *_, name in _QUANT_FRACS}},
+    )
 
 
 TYPE_QUANTILES_SQL = """
@@ -2397,7 +2388,6 @@ def parts_above_brand_avg(sf_dir: str):
         {"sum_cents": ("price_cents", "sum"), "n": ("p_brand", "count")},
         prep=lambda df: df.assign(
             price_cents=cents(df["p_retailprice"].to_numpy())),
-        small=True,
     ).to_pandas()
     bref = ray.put(
         {b: (int(s), int(n)) for b, s, n in
@@ -2490,7 +2480,7 @@ def region_nations_list(sf_dir: str):
     member count (here 5; at corpus scale a collect over an unbounded
     group needs the provenance-style cap used in ``stages/graph.py``).
     """
-    from ..functions.grouping import coalesced_group_apply
+    from ..functions.grouping import bucketed_group_apply
 
     nations = _read(sf_dir, "nation",
                     columns=["n_name", "n_regionkey"])
@@ -2508,7 +2498,11 @@ def region_nations_list(sf_dir: str):
         out["n_nations"] = out["n_nations"].astype("int64")
         return out
 
-    return coalesced_group_apply(joined, "r_name", collect)
+    return bucketed_group_apply(
+        joined, "r_name", collect,
+        empty_result={"r_name": "object", "nations": "object",
+                      "n_nations": "int64"},
+    )
 
 
 REGION_NATIONS_SQL = """
@@ -2683,10 +2677,13 @@ def events_type_stats_var(sf_dir: str):
         out["sum_cents"] = out["sum_cents"].astype("int64")
         return out
 
-    from ..functions.grouping import coalesced_group_apply
+    from ..functions.grouping import bucketed_group_apply
 
-    return coalesced_group_apply(
-        ds.map_batches(partial, batch_format="pyarrow"), "event_type", merge
+    return bucketed_group_apply(
+        ds.map_batches(partial, batch_format="pyarrow"), "event_type", merge,
+        empty_result={"event_type": "object", "n": "int64",
+                      "sum_cents": "int64", "var_value": "float64",
+                      "stddev_value": "float64"},
     )
 
 
@@ -2829,7 +2826,7 @@ def lineitem_discount_bands(sf_dir: str):
         ds, "band",
         {"n_items": ("band", "count"),
          "revenue_cents": ("revenue_cents", "sum")},
-        prep=band_rows, small=True,
+        prep=band_rows,
     )
 
 

@@ -370,15 +370,14 @@ def ngram_jaccard_pairs(docs_ds, n: int = 3, min_pct: int = 30,
 
     blocked = docs_ds.map_batches(add_block, batch_format="pandas")
 
-    # pass 1: per-block doc counts (tiny — one row per (lang, lb) per batch,
-    # combined in one block; block cardinality is bounded at any corpus
+    # pass 1: per-block doc counts (tiny — one row per (lang, lb) per batch;
+    # block cardinality is bounded at any corpus
     # size, unlike block membership).  Column-pruned: the counting read
     # ships only (lang, n_chars), never text.
     counts = two_phase_agg(
         docs_ds.select_columns(["lang", "n_chars"]), ["lang", "lb"],
         {"cnt": ("lb", "count")},
         prep=lambda df: df.assign(lb=(df["n_chars"] // 64).astype("int64")),
-        small=True,
     ).to_pandas()
     salts = {
         (r.lang, int(r.lb)): -(-int(r.cnt) // max_block)

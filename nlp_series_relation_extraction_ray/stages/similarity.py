@@ -78,34 +78,21 @@ def _merge_topk(df: pd.DataFrame, k: int) -> pd.DataFrame:
 
 
 def _merge_topk_final(partials, k: int):
-    """Final per-query top-k over the per-batch partials.
+    """Final per-query top-k over the per-batch partials (≤ #blocks × Q ×
+    k rows, Q bounded by the broadcast in-memory query matrix), merged on
+    ``query_id``."""
+    from ..functions.grouping import bucketed_group_apply
 
-    The partials are already a per-batch combine (≤ #blocks × Q × k rows,
-    Q bounded by the broadcast in-memory query matrix), so the merge input
-    is intrinsically small: coalescing to ONE block and grouping in pandas
-    is strictly cheaper than a sort all-to-all — and avoids the empty sort
-    partitions a 5-key ``groupby`` produces, which bypass the UDF and
-    surface as schema-less bundles (Ray's ``RefBundle with a different
-    schema`` warnings).  For a corpus-scale Q, insert a bucketed per-query
-    pre-merge (``bucketed_group_apply`` on ``query_id``) before this."""
+    def merge(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.concat(
+            [_merge_topk(g, k) for _, g in df.groupby("query_id", sort=False)],
+            ignore_index=True,
+        )
 
-    def merge_all(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame(
-                {
-                    "query_id": pd.Series([], dtype="int64"),
-                    "neighbor_id": pd.Series([], dtype="int64"),
-                    "rank": pd.Series([], dtype="int64"),
-                }
-            )
-        outs = [
-            _merge_topk(g, k)
-            for _, g in df.groupby("query_id", sort=False)
-        ]
-        return pd.concat(outs, ignore_index=True)
-
-    return partials.repartition(1).map_batches(
-        merge_all, batch_format="pandas", batch_size=None
+    return bucketed_group_apply(
+        partials, "query_id", merge,
+        empty_result={"query_id": "int64", "neighbor_id": "int64",
+                      "rank": "int64"},
     )
 
 

@@ -575,7 +575,7 @@ def langid_confusion(docs_ds):
     matrix — the model-evaluation aggregate every labeling stage needs.
 
     Pure map-side partials (the prediction is row-local, the partial is a
-    ≤ |langs|² count table per batch) and one coalesced final: at 10¹²
+    ≤ |langs|² count table per batch) and one merge: at 10¹²
     docs the shuffle carries #batches × ≤25 rows.
     """
     from ..functions.grouping import two_phase_agg
@@ -588,7 +588,7 @@ def langid_confusion(docs_ds):
 
     return two_phase_agg(
         docs_ds.select_columns(["text", "lang"]), ["lang", "lang_pred"],
-        {"n": ("lang_pred", "count")}, prep=predictions, small=True,
+        {"n": ("lang_pred", "count")}, prep=predictions,
     )
 
 
@@ -644,7 +644,7 @@ def url_domain_stats(docs_ds):
     WITHIN the row (a document is atomic to one batch, so per-row dedup is
     global dedup) — the exchange carries one row per (batch, domain) with
     partial counts, never the text.  The domain universe is bounded (site
-    key-space), so the final is a coalesced single-block group."""
+    key-space), so the merge input stays small."""
 
     from collections import Counter
 
@@ -660,7 +660,7 @@ def url_domain_stats(docs_ds):
     return two_phase_agg(
         docs_ds, "domain",
         {"n_urls": ("n_urls", "sum"), "n_docs": ("domain", "count")},
-        prep=domain_rows, small=True,
+        prep=domain_rows,
     )
 
 

@@ -1,13 +1,23 @@
 """The shared graph kernels (`functions/graphs.py`): the canonical pair
 builder, the propagation budget of `min_label_components` through both
 callers (int labels via `dup_clusters`, string labels via
-`kg_components`), and its per-call stats record."""
+`kg_components`), and its per-call stats record.
+
+Every test here runs with the grouped-merge row limit at 0, so the
+kernels' merges take the distributed plan even at these sizes."""
 
 import logging
 
 import numpy as np
 import pandas as pd
 import pytest
+
+
+@pytest.fixture(autouse=True)
+def _distributed_merges(monkeypatch):
+    from nlp_series_relation_extraction_ray.functions import grouping
+
+    monkeypatch.setattr(grouping, "SINGLE_BLOCK_MAX_ROWS", 0)
 
 
 def _dup_clusters(n, **kw):

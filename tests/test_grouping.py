@@ -1,15 +1,35 @@
-"""bucketed_group_apply (the vectorized high-cardinality reduce) and
-two_phase_agg (the declarative combiner + merge on top of it)."""
+"""bucketed_group_apply (the grouped merge and its plan gate) and
+two_phase_agg (the declarative combiner + merge on top of it).
+
+The inputs here are small, so the default limits pick the single-block
+plan; ``_force_distributed`` sets the row limit to 0 so the same cases
+also run the hash-bucket shuffle."""
+
+import logging
 
 import numpy as np
 import pandas as pd
 import pytest
 
 
-def test_bucketed_group_apply_matches_per_group(ray_session):
+def _force_distributed(monkeypatch):
+    from nlp_series_relation_extraction_ray.functions import grouping
+
+    monkeypatch.setattr(grouping, "SINGLE_BLOCK_MAX_ROWS", 0)
+
+
+def _set_plan(monkeypatch, default_plan: bool):
+    """``default_plan=False`` forces the distributed plan."""
+    if not default_plan:
+        _force_distributed(monkeypatch)
+
+
+def test_bucketed_group_apply_matches_per_group(ray_session, monkeypatch):
     """Hash-bucketed vectorized reduce must equal a per-group reduce for
     every key, with keys spread across many input blocks."""
     import ray
+
+    _force_distributed(monkeypatch)
 
     from nlp_series_relation_extraction_ray.functions.grouping import (
         bucketed_group_apply,
@@ -33,7 +53,7 @@ def test_bucketed_group_apply_matches_per_group(ray_session):
         return out
 
     got = (
-        bucketed_group_apply(ds, ["k", "s"], merge, n_buckets=16)
+        bucketed_group_apply(ds, ["k", "s"], merge)
         .to_pandas()
         .sort_values(["k", "s"])
         .reset_index(drop=True)
@@ -48,9 +68,11 @@ def test_bucketed_group_apply_matches_per_group(ray_session):
     pd.testing.assert_frame_equal(got, want)
 
 
-def test_bucketed_group_apply_key_never_split(ray_session):
+def test_bucketed_group_apply_key_never_split(ray_session, monkeypatch):
     """Every row of a key must appear in exactly one bucket invocation."""
     import ray
+
+    _force_distributed(monkeypatch)
 
     from nlp_series_relation_extraction_ray.functions.grouping import (
         bucketed_group_apply,
@@ -66,7 +88,7 @@ def test_bucketed_group_apply_key_never_split(ray_session):
         out["v"] = out["v"].astype("int64")
         return out
 
-    got = bucketed_group_apply(ds, "k", counts, n_buckets=8).to_pandas()
+    got = bucketed_group_apply(ds, "k", counts).to_pandas()
     # if a key were split across buckets it would surface as two partial rows
     assert got["k"].is_unique
     assert (got["v"] == 5).all()
@@ -99,14 +121,16 @@ def _want(df: pd.DataFrame, keys) -> pd.DataFrame:
     return _sorted(df.groupby(keys, as_index=False).agg(**_AGGS), keys)
 
 
-@pytest.mark.parametrize("small", [False, True])
+@pytest.mark.parametrize("default_plan", [False, True])
 @pytest.mark.parametrize("n_blocks", [1, 7])
 @pytest.mark.parametrize("keys", [["k"], ["s"], ["k", "s"]])
-def test_two_phase_agg_matches_pandas_groupby(ray_session, keys, n_blocks,
-                                              small):
+def test_two_phase_agg_matches_pandas_groupby(ray_session, monkeypatch, keys,
+                                              n_blocks, default_plan):
     """sum/count/min/max over int, string and compound keys equal one
-    pandas groupby, for any input block count and both merge fabrics."""
+    pandas groupby, for any input block count and both merge plans."""
     import ray
+
+    _set_plan(monkeypatch, default_plan)
 
     from nlp_series_relation_extraction_ray.functions.grouping import (
         two_phase_agg,
@@ -114,8 +138,7 @@ def test_two_phase_agg_matches_pandas_groupby(ray_session, keys, n_blocks,
 
     df = _frame()
     ds = ray.data.from_pandas(df).repartition(n_blocks)
-    got = _sorted(two_phase_agg(ds, keys, _AGGS, small=small).to_pandas(),
-                  keys)
+    got = _sorted(two_phase_agg(ds, keys, _AGGS).to_pandas(), keys)
     want = _want(df, keys)
     assert list(got.columns) == keys + list(_AGGS)
     for c in ("total", "n"):
@@ -123,27 +146,32 @@ def test_two_phase_agg_matches_pandas_groupby(ray_session, keys, n_blocks,
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
-@pytest.mark.parametrize("small", [False, True])
-def test_two_phase_agg_prep_filters_everything(ray_session, small):
+@pytest.mark.parametrize("default_plan", [False, True])
+def test_two_phase_agg_prep_filters_everything(ray_session, monkeypatch,
+                                               default_plan):
     """A prep that drops every row yields zero rows, not a crash."""
     import ray
+
+    _set_plan(monkeypatch, default_plan)
 
     from nlp_series_relation_extraction_ray.functions.grouping import (
         two_phase_agg,
     )
 
     ds = ray.data.from_pandas(_frame()).repartition(4)
-    out = two_phase_agg(ds, "k", _AGGS, prep=lambda df: df[df["v"] > 10**6],
-                        small=small)
+    out = two_phase_agg(ds, "k", _AGGS, prep=lambda df: df[df["v"] > 10**6])
     assert out.count() == 0
     assert len(out.to_pandas()) == 0
 
 
-@pytest.mark.parametrize("small", [False, True])
-def test_two_phase_agg_having_sees_global_totals(ray_session, small):
+@pytest.mark.parametrize("default_plan", [False, True])
+def test_two_phase_agg_having_sees_global_totals(ray_session, monkeypatch,
+                                                 default_plan):
     """HAVING filters merged groups: key 1 reaches the bar only on its
     total across blocks (no single block passes), key 2 never does."""
     import ray
+
+    _set_plan(monkeypatch, default_plan)
 
     from nlp_series_relation_extraction_ray.functions.grouping import (
         two_phase_agg,
@@ -153,7 +181,7 @@ def test_two_phase_agg_having_sees_global_totals(ray_session, small):
     ds = ray.data.from_pandas([df.iloc[i:i + 2] for i in range(0, 6, 2)])
     got = two_phase_agg(
         ds, "k", {"total": ("v", "sum")},
-        having=lambda g: g["total"] > 10, small=small,
+        having=lambda g: g["total"] > 10,
     ).to_pandas()
     assert got.to_dict("list") == {"k": [1], "total": [12]}
 
@@ -168,6 +196,45 @@ def test_two_phase_agg_rejects_unknown_aggregate(ray_session):
     with pytest.raises(ValueError, match="median"):
         two_phase_agg(ray.data.from_pandas(_frame()), "k",
                       {"m": ("v", "median")})
+
+
+def _plan_stats(caplog):
+    recs = [r for r in caplog.records if hasattr(r, "stats")
+            and r.name.endswith("functions.grouping")]
+    assert len(recs) == 1
+    return recs[0].stats
+
+
+def test_plan_record(ray_session, caplog, monkeypatch):
+    """One record per call: keys, plan, input rows and bytes, buckets.  A
+    small input takes the single plan; a zero row or byte limit forces the
+    distributed plan with 2 buckets per cluster CPU."""
+    import ray
+
+    from nlp_series_relation_extraction_ray.functions import grouping
+
+    ds = ray.data.from_pandas(_frame(200)).materialize()
+    nbytes = ds.size_bytes()
+    logger = "nlp_series_relation_extraction_ray.functions.grouping"
+
+    def run():
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger=logger):
+            out = grouping.bucketed_group_apply(
+                ds, "k", lambda df: df.groupby("k", as_index=False)["v"].sum())
+            assert out.to_pandas()["v"].sum() == _frame(200)["v"].sum()
+        return _plan_stats(caplog)
+
+    assert run() == {"keys": ["k"], "plan": "single", "rows": 200,
+                     "bytes": nbytes, "n_buckets": 1}
+    n_buckets = 2 * int(ray.cluster_resources()["CPU"])
+    with monkeypatch.context() as m:
+        m.setattr(grouping, "SINGLE_BLOCK_MAX_ROWS", 0)
+        assert run() == {"keys": ["k"], "plan": "distributed", "rows": 200,
+                         "bytes": nbytes, "n_buckets": n_buckets}
+    with monkeypatch.context() as m:
+        m.setattr(grouping, "SINGLE_BLOCK_MAX_BYTES", nbytes - 1)
+        assert run()["plan"] == "distributed"
 
 
 def test_text_tokens_counts_and_document_frequency():

@@ -93,6 +93,10 @@ def test_reconstruction_invariant(ray_session, transcripts):
 def test_full_kg_build(ray_session, tmp_path):
     out = str(tmp_path / "kg")
     res = build_kg(t.transcripts_dataset(N), head="baseline", out_dir=out)
+    _check_kg(res)
+
+
+def _check_kg(res):
     nodes = res["nodes"].to_pandas()
     edges = res["edges"].to_pandas()
 
@@ -128,6 +132,38 @@ def test_full_kg_build(ray_session, tmp_path):
         prov = json.loads(pj)
         assert len(prov) <= 16
         assert prov == sorted(prov)
+
+
+def _sorted_frame(ds):
+    df = ds.to_pandas()
+    return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+def test_full_kg_build_distributed_plan(ray_session, tmp_path, monkeypatch):
+    """With the grouped-merge row limit at 0 every merge of ``build_kg``
+    takes the distributed plan; the KG passes the same checks and equals
+    the default plan's KG."""
+    from nlp_series_relation_extraction_ray.functions import grouping
+
+    want = build_kg(t.transcripts_dataset(N), head="baseline",
+                    out_dir=str(tmp_path / "default"))
+    monkeypatch.setattr(grouping, "SINGLE_BLOCK_MAX_ROWS", 0)
+    res = build_kg(t.transcripts_dataset(N), head="baseline",
+                   out_dir=str(tmp_path / "distributed"))
+    _check_kg(res)
+    for key in ("nodes", "edges"):
+        assert _sorted_frame(res[key]).equals(_sorted_frame(want[key])), key
+
+
+def test_reconstruction_plans_agree(ray_session, transcripts, monkeypatch):
+    """Conversation reconstruction gives the same rows under both plans."""
+    from nlp_series_relation_extraction_ray.functions import grouping
+
+    want = _sorted_frame(reconstruct_conversations(transcripts))
+    monkeypatch.setattr(grouping, "SINGLE_BLOCK_MAX_ROWS", 0)
+    got = _sorted_frame(reconstruct_conversations(transcripts))
+    assert len(got) == N
+    assert got.equals(want)
 
 
 def test_linking_alias_and_ambiguity():
