@@ -200,12 +200,15 @@ def explode_complex_slots(triples_ds):
     def explode(batch: pa.Table) -> pa.Table:
         out = {"conv_id": [], "turn_idx": [], "predicate": [], "slot_key": [],
                "slot_value": []}
-        for i in range(batch.num_rows):
-            obj = json.loads(batch["object_json"][i].as_py())
+        for cid, tix, pred, obj_json in zip(
+            *(batch[c].to_pylist()
+              for c in ("conv_id", "turn_idx", "predicate", "object_json"))
+        ):
+            obj = json.loads(obj_json)
             for key in sorted(obj):
-                out["conv_id"].append(batch["conv_id"][i].as_py())
-                out["turn_idx"].append(batch["turn_idx"][i].as_py())
-                out["predicate"].append(batch["predicate"][i].as_py())
+                out["conv_id"].append(cid)
+                out["turn_idx"].append(tix)
+                out["predicate"].append(pred)
                 out["slot_key"].append(key)
                 out["slot_value"].append(obj[key])
         return pa.Table.from_pydict(

@@ -31,22 +31,23 @@ from ..tokenization import tokenize_plain, tokenize_with_offset_mapping
 from .base import MAX_LEN, register_head
 
 
-def find_entity(text_raw, id_, predictions, offset_mapping):
-    """Entities labeled ``id_``, extended through I labels (utils.py:148-168)."""
-    entity_list = []
-    for i in range(len(predictions)):
-        if [id_] in predictions[i]:
-            j = 0
-            while i + j + 1 < len(predictions):
-                if [1] in predictions[i + j + 1]:
-                    j += 1
-                else:
-                    break
-            entity = "".join(
-                text_raw[offset_mapping[i][0]: offset_mapping[i + j][1]]
-            )
-            entity_list.append(entity)
-    return sorted(set(entity_list))
+def find_entity(text_raw, id_, hits, run_end, offset_mapping):
+    """Entities labeled ``id_``, extended through I labels (utils.py:148-168).
+
+    ``hits`` is the thresholded ``[L, C]`` label matrix and ``run_end[i]``
+    the last token of the I-run that follows token ``i``."""
+    return sorted({
+        text_raw[offset_mapping[i][0]: offset_mapping[run_end[i]][1]]
+        for i in np.flatnonzero(hits[:, id_]).tolist()
+    })
+
+
+def _i_run_ends(is_inside: np.ndarray) -> list[int]:
+    """``run_end[i]``: the largest ``k >= i`` with ``is_inside[i+1..k]`` all
+    true — how far an entity starting at ``i`` extends through I labels."""
+    n = len(is_inside)
+    stops = np.flatnonzero(~np.append(is_inside[1:], False))
+    return stops[np.searchsorted(stops, np.arange(n))].tolist()
 
 
 @register_head
@@ -134,26 +135,26 @@ class BaselineHead:
         """D1 decode (utils/utils.py:170-273), one example."""
         text_raw = ex["context"]
         seq_len = len(ex["tokens"])
-        logits = scores.copy()[1: seq_len - 2 + 1]  # valid logits between CLS/SEP
-        logits[logits >= 0.5] = 1
-        logits[logits < 0.5] = 0
-        offset_mapping = ex["offset_mapping"][1: seq_len - 2 + 1]
-        predictions = [np.argwhere(token == 1).tolist() for token in logits]
+        # valid logits between CLS/SEP, thresholded once
+        hits = scores[1: seq_len - 1] >= 0.5
+        offset_mapping = ex["offset_mapping"][1: seq_len - 1]
+        present = hits.any(axis=0)
+        subject_id_list = [
+            c for c in np.flatnonzero(present).tolist()
+            if 1 < c <= 56 and present[c + 55]
+        ]
+        run_end = _i_run_ends(hits[:, 1])
 
-        flatten_predictions = [l2[0] for l1 in predictions for l2 in l1]
-        subject_id_list = []
-        for cls_label in set(flatten_predictions):
-            if 1 < cls_label <= 56 and (cls_label + 55) in flatten_predictions:
-                subject_id_list.append(cls_label)
-        subject_id_list = sorted(set(subject_id_list))
+        def entities(label: int) -> list[str]:
+            return find_entity(text_raw, label, hits, run_end, offset_mapping)
 
         entity_list: list[str] = []
         spo_list: list[dict] = []
         for id_ in subject_id_list:
             if id_ in BASELINE_COMPLEX_AFFI_IDS:
                 continue
-            subjects = find_entity(text_raw, id_, predictions, offset_mapping)
-            objects = find_entity(text_raw, id_ + 55, predictions, offset_mapping)
+            subjects = entities(id_)
+            objects = entities(id_ + 55)
             if id_ not in BASELINE_COMPLEX_IDS:
                 for subject_ in subjects:
                     for object_ in objects:
@@ -179,9 +180,7 @@ class BaselineHead:
                         # (+1); 获奖=26 attaches 27/28/29 (utils.py:244-262)
                         if id_ in [8, 10, 32, 46] and id_ + 1 in subject_id_list:
                             id_affi = id_ + 1
-                            affi = find_entity(
-                                text_raw, id_affi + 55, predictions, offset_mapping
-                            )
+                            affi = entities(id_affi + 55)
                             if affi:  # divergence: guard empty (ref: [0] crash)
                                 slot = ID2SPO["object_type"][id_affi].split("_")[1]
                                 object_dict[slot] = affi[0]
@@ -190,10 +189,7 @@ class BaselineHead:
                         elif id_ == 26:
                             for id_affi in [27, 28, 29]:
                                 if id_affi in subject_id_list:
-                                    affi = find_entity(
-                                        text_raw, id_affi + 55, predictions,
-                                        offset_mapping,
-                                    )
+                                    affi = entities(id_affi + 55)
                                     if affi:
                                         slot = ID2SPO["object_type"][id_affi].split("_")[1]
                                         object_dict[slot] = affi[0]

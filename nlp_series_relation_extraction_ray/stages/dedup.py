@@ -389,6 +389,18 @@ def ngram_jaccard_pairs(docs_ds, n: int = 3, min_pct: int = 30,
 
     def cell_pairs(df: pd.DataFrame) -> pd.DataFrame:
         rows_a, rows_b, pcts = [], [], []
+        # a doc is copied to every salted cell of its block: build its
+        # n-gram set once per task, not once per cell
+        ngram_sets: dict[int, set[str]] = {}
+
+        def sets_of(g: pd.DataFrame) -> list[set[str]]:
+            out = []
+            for doc_id, text in zip(g["doc_id"].tolist(), g["text"].tolist()):
+                s = ngram_sets.get(doc_id)
+                if s is None:
+                    s = ngram_sets[doc_id] = _word_ngrams(text, n)
+                out.append(s)
+            return out
 
         def compare(ids_a, sets_a, ids_b, sets_b, cross: bool):
             for ii in range(len(ids_a)):
@@ -409,18 +421,13 @@ def ngram_jaccard_pairs(docs_ds, n: int = 3, min_pct: int = 30,
             if ci == cj:  # in-salt cell: ordered all-pairs
                 g = g.sort_values("doc_id")
                 ids = g["doc_id"].to_numpy()
-                sets_ = [_word_ngrams(t, n) for t in g["text"].tolist()]
+                sets_ = sets_of(g)
                 compare(ids, sets_, ids, sets_, cross=False)
             else:  # cross-salt cell: side-A × side-B
                 ga = g[g["salt"] == ci]
                 gb = g[g["salt"] == cj]
-                compare(
-                    ga["doc_id"].to_numpy(),
-                    [_word_ngrams(t, n) for t in ga["text"].tolist()],
-                    gb["doc_id"].to_numpy(),
-                    [_word_ngrams(t, n) for t in gb["text"].tolist()],
-                    cross=True,
-                )
+                compare(ga["doc_id"].to_numpy(), sets_of(ga),
+                        gb["doc_id"].to_numpy(), sets_of(gb), cross=True)
         return pd.DataFrame(
             {
                 "doc_a": pd.Series(rows_a, dtype="int64"),

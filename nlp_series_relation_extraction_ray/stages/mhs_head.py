@@ -13,7 +13,12 @@ path.
 - Pair decode (D3): ``convert_spo_contour2``
   (``/root/reference/run_evaluation.py:55-83``) — keep (s_end, o_end) pairs
   whose ends are decoded span ends, map end→span via first-match
-  ``end_list.index``;
+  ``end_list.index``.  The reference thresholds the whole ``[L, L, R]``
+  tensor and then drops every hit whose row or column is not a decoded end;
+  here the threshold runs only over the ``u × u`` sub-grid, ``u`` the sorted
+  distinct decoded ends.  This is exact for any tensor, dense trained scores
+  included: the sub-grid holds exactly the hits the filter keeps, and since
+  ``u`` ascends, its row-major order is the order the full scan visits them;
 - Formatting: shared D4 (``format_spo.py``).
 
 The O(L²R) pair tensor is synthesized AND decoded inside one actor call —
@@ -21,6 +26,8 @@ never materialized as dataset rows (SURVEY §7.3).
 """
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 
@@ -82,7 +89,9 @@ def build_gold_typed_spoes(tokens: list[str], spo_list: list[dict]):
 def decode_typed_spans(start_logits: np.ndarray, end_logits: np.ndarray):
     """Typed span decode for one example (models/model_mhs.py:80-90).
 
-    Returns ``(subjects [(i, j)], end_list [j])`` in decode order.
+    Returns ``(subjects [(i, j)], end_list [j])`` in decode order: each
+    typed start ``(i, t)`` pairs with the first (row-major) end hit at a
+    position ``>= i`` when that hit's type is also ``t``.
 
     Robustness divergence: spans touching position 0 ([CLS]) or the final
     position ([SEP]) are clipped — the reference does not guard these and
@@ -90,21 +99,17 @@ def decode_typed_spans(start_logits: np.ndarray, end_logits: np.ndarray):
     MPN decode does guard, models/model_mpn.py:169-175); oracle scorers
     never emit them, so parity is unaffected.
     """
-    L = start_logits.shape[0]
+    last = start_logits.shape[0] - 2
+    start, start_tp = (a.tolist() for a in np.nonzero(start_logits > 0.5))
+    end, end_tp = (a.tolist() for a in np.nonzero(end_logits > 0.5))
     subjects: list[tuple[int, int]] = []
     end_list: list[int] = []
-    start, start_tp = np.where(start_logits > 0.5)
-    end, end_tp = np.where(end_logits > 0.5)
     for i, t in zip(start, start_tp):
-        if i == 0 or i > L - 2:
-            continue
-        j = end[end >= i]
-        te = end_tp[end >= i]
-        if len(j) > 0 and te[0] == t:
-            if j[0] > L - 2:
-                continue
-            subjects.append((int(i), int(j[0])))
-            end_list.append(int(j[0]))
+        if 0 < i <= last:
+            k = bisect.bisect_left(end, i)  # ``end`` ascends: first end >= i
+            if k < len(end) and end_tp[k] == t and end[k] <= last:
+                subjects.append((i, end[k]))
+                end_list.append(end[k])
     return subjects, end_list
 
 
@@ -113,17 +118,23 @@ def decode_pairs(
     subjects: list[tuple[int, int]],
     end_list: list[int],
 ) -> dict[tuple[int, int], list]:
-    """D3 pair decode (run_evaluation.py:70-83)."""
+    """D3 pair decode (run_evaluation.py:70-83).
+
+    Only pairs whose ends are both in ``end_list`` survive, so the scan
+    reads just the ``end_list × end_list`` sub-grid; its rows and columns
+    ascend, so row-major order over it is the full scan's order."""
+    if not end_list:
+        return {}
+    ends = sorted(set(end_list))
+    span_of: dict[int, tuple[int, int]] = {}
+    for e, s in zip(end_list, subjects):
+        span_of.setdefault(e, s)  # first match, as ``end_list.index``
     spoes: dict[tuple[int, int], list] = {}
-    s_e_o = np.where(output_logit > 0.5)
-    for idx in range(len(s_e_o[0])):
-        s_end = int(s_e_o[0][idx])
-        o_end = int(s_e_o[1][idx])
-        predicate = int(s_e_o[2][idx])
-        if s_end in end_list and o_end in end_list:
-            s = subjects[end_list.index(s_end)]
-            o = subjects[end_list.index(o_end)]
-            spoes.setdefault(s, []).append((o[0], o[1], predicate))
+    s_idx, o_idx, predicates = np.where(output_logit[np.ix_(ends, ends)] > 0.5)
+    for a, b, predicate in zip(s_idx.tolist(), o_idx.tolist(),
+                               predicates.tolist()):
+        o = span_of[ends[b]]
+        spoes.setdefault(span_of[ends[a]], []).append((o[0], o[1], predicate))
     return spoes
 
 

@@ -19,6 +19,8 @@ cross-batch state exists and the per-turn invariant holds.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 from ..schema import BAIDU_RELATION, COMPLEX_RELATION_AFFI_IDS, NUM_SLOTS
@@ -77,35 +79,37 @@ def build_gold_spoes(
 
 
 def decode_subjects(sub_pred: np.ndarray, tokens: list[str]) -> list[tuple[int, int]]:
-    """Stage-1 subject decode (models/model_mpn.py:163-178)."""
-    start = np.where(sub_pred[:, 0] > 0.6)[0]
-    end = np.where(sub_pred[:, 1] > 0.5)[0]
+    """Stage-1 subject decode (models/model_mpn.py:163-178): each start
+    pairs with the nearest end ``>= start``; spans on [CLS]/[SEP] drop."""
+    last = len(tokens) - 2
+    start = np.flatnonzero(sub_pred[:, 0] > 0.6).tolist()
+    end = np.flatnonzero(sub_pred[:, 1] > 0.5).tolist()
     subjects = []
     for i in start:
-        j = end[end >= i]
-        if i == 0 or i > len(tokens) - 2:
-            continue
-        if len(j) > 0:
-            j = j[0]
-            if j > len(tokens) - 2:
-                continue
-            subjects.append((int(i), int(j)))
+        if 0 < i <= last:
+            k = bisect.bisect_left(end, i)
+            if k < len(end) and end[k] <= last:
+                subjects.append((i, end[k]))
     return subjects
 
 
 def decode_po(
     po_pred: np.ndarray, tokens: list[str]
 ) -> list[tuple[int, int, int]]:
-    """Stage-2 object/predicate decode for one subject (run_evaluation.py:39-48)."""
-    start = np.where(po_pred[:, :, 0] > 0.6)
-    end = np.where(po_pred[:, :, 1] > 0.5)
+    """Stage-2 object/predicate decode for one subject (run_evaluation.py:39-48).
+
+    Every start ``(s, p)`` in row-major order pairs with each end of the same
+    predicate ``p`` in ``[s, len(tokens) - 2]``, ends in ascending order."""
+    last = len(tokens) - 2
+    ends_of: dict[int, list[int]] = {}
+    for e, p in zip(*(a.tolist() for a in np.where(po_pred[:, :, 1] > 0.5))):
+        if e <= last:
+            ends_of.setdefault(p, []).append(e)
     out = []
-    for _start, predicate1 in zip(*start):
-        if _start > len(tokens) - 2 or _start == 0:
-            continue
-        for _end, predicate2 in zip(*end):
-            if _start <= _end <= len(tokens) - 2 and predicate1 == predicate2:
-                out.append((int(_start), int(_end), int(predicate1)))
+    for s, p in zip(*(a.tolist() for a in np.where(po_pred[:, :, 0] > 0.6))):
+        if 0 < s <= last and p in ends_of:
+            ends = ends_of[p]
+            out.extend((s, e, p) for e in ends[bisect.bisect_left(ends, s):])
     return out
 
 

@@ -7,6 +7,12 @@ WordPiece vocab (none is shippable here):
   own sub-text; latin runs and digit runs are buffered into whole sub-texts
   (parity: ``/root/reference/utils/extract_chinese_and_punct.py:22-116`` +
   the splitter loop in ``/root/reference/dataset/data_utils.py:67-97``);
+  here it is one compiled ``findall`` whose three branches partition every
+  character: one CJK/punct char, a run of digits that are not CJK/punct, a
+  run of everything else.  This is exact: the reference loop flushes its
+  buffer exactly when the character class changes and emits every CJK/punct
+  char alone, so its sub-texts are the maximal runs of each class — which
+  is what a leftmost, greedy ``findall`` over those disjoint classes yields;
 - token→original-char alignment ``tok_to_orig_start_index`` /
   ``tok_to_orig_end_index`` where space sub-texts emit no token (parity:
   ``data_utils.py:98-112``);
@@ -27,6 +33,7 @@ decode round-trip semantics are preserved either way.
 
 from __future__ import annotations
 
+import functools
 import re
 
 # Unicode ranges: CJK Han blocks + CN punctuation + EN punctuation, identical
@@ -58,16 +65,19 @@ _CN_PUNCT_CODEPOINTS = [
 _EN_PUNCT_RANGES = [(0x21, 0x2F), (0x3A, 0x40), (0x5B, 0x60), (0x7B, 0x7E)]
 
 
-def _build_chinese_or_punct_re() -> re.Pattern:
+def _chinese_or_punct_class() -> str:
+    """Body of the CJK/punct character class (without the brackets)."""
     parts = []
     for lo, hi in _HAN_RANGES + _EN_PUNCT_RANGES:
         parts.append(f"{chr(lo)}-{chr(hi)}" if lo != hi else chr(lo))
     parts.extend(chr(c) for c in _CN_PUNCT_CODEPOINTS)
-    return re.compile("[%s]" % "".join(parts), re.UNICODE)
+    return "".join(parts)
 
 
-CHINESE_OR_PUNCT_RE = _build_chinese_or_punct_re()
-_DIGIT_RE = re.compile(r"\d")
+_CP = _chinese_or_punct_class()
+CHINESE_OR_PUNCT_RE = re.compile(f"[{_CP}]")
+# one CJK/punct char | a run of non-CJK/punct digits | a run of the rest
+_PIECE_RE = re.compile(rf"[{_CP}]|[^\D{_CP}]+|[^\d{_CP}]+")
 
 CLS, SEP = "[CLS]", "[SEP]"
 
@@ -80,37 +90,11 @@ def split_char_classes(text: str) -> list[str]:
     """Pre-split into CJK/punct single chars + latin runs + digit runs.
 
     Parity: the buffered splitter loop in data_utils.py:68-96 — a digit run
-    flushes a latin buffer and vice versa; CJK/punct flushes both.
+    flushes a latin buffer and vice versa; CJK/punct flushes both.  That loop
+    emits exactly the maximal runs of each class, which is what one
+    ``findall`` of :data:`_PIECE_RE` returns.
     """
-    sub_text: list[str] = []
-    buff = ""
-    flag_en = False
-    flag_digit = False
-    for ch in text:
-        if CHINESE_OR_PUNCT_RE.match(ch):
-            if buff:
-                sub_text.append(buff)
-                buff = ""
-            sub_text.append(ch)
-            flag_en = False
-            flag_digit = False
-        elif _DIGIT_RE.match(ch):
-            if buff and flag_en:
-                sub_text.append(buff)
-                buff = ""
-                flag_en = False
-            flag_digit = True
-            buff += ch
-        else:
-            if buff and flag_digit:
-                sub_text.append(buff)
-                buff = ""
-                flag_digit = False
-            flag_en = True
-            buff += ch
-    if buff:
-        sub_text.append(buff)
-    return sub_text
+    return _PIECE_RE.findall(text)
 
 
 class DeterministicTokenizer:
@@ -206,9 +190,6 @@ def build_wordpiece_vocab(
     return vocab
 
 
-_DEFAULT_TOKENIZER = DeterministicTokenizer()
-
-
 def convert_to_tokens(
     text: str, tokenizer: DeterministicTokenizer | None = None
 ) -> tuple[list[str], list[int], list[int]]:
@@ -219,27 +200,44 @@ def convert_to_tokens(
     advance offsets but emit no token. Parity: data_utils.py:98-112
     (``covert_to_tokens`` with ``return_orig_index=True``).
     """
-    tokenizer = tokenizer or _DEFAULT_TOKENIZER
-    sub_text = split_char_classes(text)
     tok_to_orig_start: list[int] = []
     tok_to_orig_end: list[int] = []
     tokens: list[str] = []
     pos = 0
-    for piece in sub_text:
-        sub_tokens = tokenizer.tokenize(piece) if piece != " " else []
-        pos += len(piece)
-        for sub_token in sub_tokens:
-            tok_to_orig_start.append(pos - len(piece))
+    if tokenizer is None or type(tokenizer) is DeterministicTokenizer:
+        # the default tokenizer emits every non-space piece, lowercased
+        for piece in _PIECE_RE.findall(text):
+            start, pos = pos, pos + len(piece)
+            if piece != " ":
+                tokens.append(piece.lower())
+                tok_to_orig_start.append(start)
+                tok_to_orig_end.append(pos - 1)
+        return tokens, tok_to_orig_start, tok_to_orig_end
+    for piece in _PIECE_RE.findall(text):
+        start, pos = pos, pos + len(piece)
+        if piece == " ":
+            continue
+        for sub_token in tokenizer.tokenize(piece):
+            tok_to_orig_start.append(start)
             tok_to_orig_end.append(pos - 1)
             tokens.append(sub_token)
     return tokens, tok_to_orig_start, tok_to_orig_end
 
 
+@functools.lru_cache(maxsize=4096)
+def _plain_tokens(text: str, tokenizer) -> tuple[str, ...]:
+    return tuple(convert_to_tokens(text, tokenizer)[0])
+
+
 def tokenize_plain(
     text: str, tokenizer: DeterministicTokenizer | None = None
 ) -> list[str]:
-    """``covert_to_tokens(return_orig_index=False)`` analog (entity mentions)."""
-    return convert_to_tokens(text, tokenizer)[0]
+    """``covert_to_tokens(return_orig_index=False)`` analog (entity mentions).
+
+    Mentions repeat across turns, so the tokens are cached per
+    ``(text, tokenizer)`` in a bounded LRU; each call returns a fresh list
+    (callers compare token-list slices to it)."""
+    return list(_plain_tokens(text, tokenizer))
 
 
 def tokenize_with_offset_mapping(
