@@ -389,9 +389,11 @@ def ngram_jaccard_pairs(docs_ds, n: int = 3, min_pct: int = 30,
 
     def cell_pairs(df: pd.DataFrame) -> pd.DataFrame:
         rows_a, rows_b, pcts = [], [], []
-        # a doc is copied to every salted cell of its block: build its
-        # n-gram set once per task, not once per cell
+        # a doc is copied to every salted cell of its own (lang, lb) block
+        # and groupby visits a block's cells in a row: build its n-gram set
+        # once per block, not once per cell, and hold one block's sets
         ngram_sets: dict[int, set[str]] = {}
+        block = None
 
         def sets_of(g: pd.DataFrame) -> list[set[str]]:
             out = []
@@ -415,7 +417,10 @@ def ngram_jaccard_pairs(docs_ds, n: int = 3, min_pct: int = 30,
                         rows_b.append(max(a, b))
                         pcts.append(pct)
 
-        for (_, _, ci, cj), g in df.groupby(["lang", "lb", "ci", "cj"]):
+        for (lang, lb, ci, cj), g in df.groupby(["lang", "lb", "ci", "cj"]):
+            if (lang, lb) != block:
+                block = (lang, lb)
+                ngram_sets.clear()
             if len(g) < 2:
                 continue
             if ci == cj:  # in-salt cell: ordered all-pairs

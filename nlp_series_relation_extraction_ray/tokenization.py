@@ -190,6 +190,9 @@ def build_wordpiece_vocab(
     return vocab
 
 
+_DEFAULT_TOKENIZER = DeterministicTokenizer()
+
+
 def convert_to_tokens(
     text: str, tokenizer: DeterministicTokenizer | None = None
 ) -> tuple[list[str], list[int], list[int]]:
@@ -200,20 +203,12 @@ def convert_to_tokens(
     advance offsets but emit no token. Parity: data_utils.py:98-112
     (``covert_to_tokens`` with ``return_orig_index=True``).
     """
+    tokenizer = tokenizer or _DEFAULT_TOKENIZER
     tok_to_orig_start: list[int] = []
     tok_to_orig_end: list[int] = []
     tokens: list[str] = []
     pos = 0
-    if tokenizer is None or type(tokenizer) is DeterministicTokenizer:
-        # the default tokenizer emits every non-space piece, lowercased
-        for piece in _PIECE_RE.findall(text):
-            start, pos = pos, pos + len(piece)
-            if piece != " ":
-                tokens.append(piece.lower())
-                tok_to_orig_start.append(start)
-                tok_to_orig_end.append(pos - 1)
-        return tokens, tok_to_orig_start, tok_to_orig_end
-    for piece in _PIECE_RE.findall(text):
+    for piece in split_char_classes(text):
         start, pos = pos, pos + len(piece)
         if piece == " ":
             continue
@@ -224,9 +219,11 @@ def convert_to_tokens(
     return tokens, tok_to_orig_start, tok_to_orig_end
 
 
-@functools.lru_cache(maxsize=4096)
-def _plain_tokens(text: str, tokenizer) -> tuple[str, ...]:
-    return tuple(convert_to_tokens(text, tokenizer)[0])
+# The fixture draws every mention from 88 distinct strings, so a cache of
+# 1024 holds them all with room for a richer corpus.
+@functools.lru_cache(maxsize=1024)
+def _plain_tokens(text: str) -> tuple[str, ...]:
+    return tuple(convert_to_tokens(text)[0])
 
 
 def tokenize_plain(
@@ -234,10 +231,12 @@ def tokenize_plain(
 ) -> list[str]:
     """``covert_to_tokens(return_orig_index=False)`` analog (entity mentions).
 
-    Mentions repeat across turns, so the tokens are cached per
-    ``(text, tokenizer)`` in a bounded LRU; each call returns a fresh list
+    Mentions repeat across turns, so the default tokenizer's tokens are
+    cached per text in a bounded LRU; each call returns a fresh list
     (callers compare token-list slices to it)."""
-    return list(_plain_tokens(text, tokenizer))
+    if tokenizer is not None:
+        return convert_to_tokens(text, tokenizer)[0]
+    return list(_plain_tokens(text))
 
 
 def tokenize_with_offset_mapping(

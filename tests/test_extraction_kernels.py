@@ -303,6 +303,14 @@ def test_tokenize_plain_cache_bounded():
     assert tok._plain_tokens.cache_info().maxsize is not None
 
 
+def test_tokenize_plain_caches_default_tokenizer_only():
+    # a passed tokenizer (and its vocab) must not be pinned by the cache
+    before = tok._plain_tokens.cache_info()
+    assert tok.tokenize_plain("wordpiece only", _WP)
+    after = tok._plain_tokens.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
 # ---------------------------------------------------------------- baseline
 
 # complex subject ids and their affiliated slots, a few plain ids, and the
