@@ -3,14 +3,16 @@
 Ray-Data-first layout (SURVEY §7.1 step 2/3):
 
     transcripts (conv_id, turn_idx, role, text, tool, ts)
-      └─ map_batches(Extractor(head), concurrency=N, batch_format="pyarrow")
-           └─ triples (conv_id, turn_idx, head, predicate, subject,
-                       subject_type, object_json, object_type_json,
-                       object_value)
+      └─ map_batches(Extractor(head), batch_format="pyarrow")
+           └─ triples (``stages.format_spo.TRIPLE_SCHEMA``: conv_id,
+                       turn_idx, head, predicate, subject, subject_type,
+                       object_json, object_type_json, object_value)
 
-The Extractor is a STATEFUL actor-pool stage: head construction, schema
-dicts and (for real models) weights load once in ``__init__``; ``__call__``
-scores+decodes one Arrow batch and emits triple rows — score and decode are
+The Extractor is a STATEFUL stage (one per task worker through
+``worker_cached``, or an actor pool when a gold lookup is broadcast): head
+construction, schema dicts and (for real models) weights load once in
+``__init__``; ``__call__`` scores+decodes one Arrow batch and emits triple
+rows through ``triples_table`` — score and decode are
 fused in-call so per-example logit tensors (incl. the O(L²R) MHS tensor)
 never become dataset rows and no cross-batch state exists (the reference's
 driver-side ``answer_dict`` accumulator, ``run_mpn.py:70``, is eliminated).
@@ -29,20 +31,7 @@ import pyarrow as pa
 
 from ..sources import transcripts as tsrc
 from ..stages import base as stages_base
-
-TRIPLE_SCHEMA = pa.schema(
-    [
-        ("conv_id", pa.string()),
-        ("turn_idx", pa.int32()),
-        ("head", pa.string()),
-        ("predicate", pa.string()),
-        ("subject", pa.string()),
-        ("subject_type", pa.string()),
-        ("object_json", pa.string()),
-        ("object_type_json", pa.string()),
-        ("object_value", pa.string()),
-    ]
-)
+from ..stages.format_spo import triples_table
 
 ENTITY_SCHEMA = pa.schema(
     [
@@ -84,49 +73,27 @@ class Extractor:
         return _synthetic_gold(conv_id, turn_idx)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        conv_ids = batch["conv_id"].to_pylist()
-        turn_idxs = batch["turn_idx"].to_pylist()
-        texts = batch["text"].to_pylist()
         head = self.head
-
-        if self.emit == "entities":
-            out = {"conv_id": [], "turn_idx": [], "head": [], "entities_json": []}
-        else:
-            out = {k: [] for k in TRIPLE_SCHEMA.names}
-
-        for cid, tix, text in zip(conv_ids, turn_idxs, texts):
+        rows = []
+        for cid, tix, text in zip(
+            batch["conv_id"].to_pylist(),
+            batch["turn_idx"].to_pylist(),
+            batch["text"].to_pylist(),
+        ):
             ex = head.preprocess(text)
-            gold = self.gold_for(cid, tix)
-            scores = head.oracle_scores(ex, gold)
+            scores = head.oracle_scores(ex, self.gold_for(cid, tix))
             entity_list, spo_list = head.decode(ex, scores)
             if self.emit == "entities":
-                out["conv_id"].append(cid)
-                out["turn_idx"].append(tix)
-                out["head"].append(head.name)
-                out["entities_json"].append(
-                    json.dumps(entity_list, ensure_ascii=False)
-                )
-                continue
-            for spo in spo_list:
-                out["conv_id"].append(cid)
-                out["turn_idx"].append(tix)
-                out["head"].append(head.name)
-                out["predicate"].append(spo["predicate"])
-                out["subject"].append(spo["subject"])
-                out["subject_type"].append(spo["subject_type"])
-                out["object_json"].append(
-                    json.dumps(spo["object"], ensure_ascii=False, sort_keys=True)
-                )
-                out["object_type_json"].append(
-                    json.dumps(spo["object_type"], ensure_ascii=False,
-                               sort_keys=True)
-                )
-                out["object_value"].append(spo["object"].get("@value", ""))
-
-        schema = ENTITY_SCHEMA if self.emit == "entities" else TRIPLE_SCHEMA
-        return pa.Table.from_pydict(
-            {name: pa.array(out[name], schema.field(name).type)
-             for name in schema.names}
+                rows.append((cid, tix, head.name,
+                             json.dumps(entity_list, ensure_ascii=False)))
+            else:
+                rows.extend((cid, tix, head.name, spo) for spo in spo_list)
+        if self.emit == "triples":
+            return triples_table(rows)
+        cols = zip(*rows) if rows else [()] * len(ENTITY_SCHEMA)
+        return pa.Table.from_arrays(
+            [pa.array(list(c), f.type) for c, f in zip(cols, ENTITY_SCHEMA)],
+            schema=ENTITY_SCHEMA,
         )
 
 
@@ -163,33 +130,13 @@ def extract_triples(
             f"unknown emit {emit!r}: expected 'triples' or 'entities'")
     if use_actors is None:
         use_actors = gold_ref is not None
-    # prune: the extractor reads only (conv_id, turn_idx, text); drop
-    # role/tool/ts before they ship through the object store (when reading
-    # Parquet, pair this with read_parquet(columns=...))
-    names = transcripts_ds.schema().names
-    needed = ["conv_id", "turn_idx", "text"]
-    if set(needed) < set(names):
-        transcripts_ds = transcripts_ds.select_columns(needed)
     if not use_actors:
-        return transcripts_ds.map_batches(
-            _task_extract,
-            fn_kwargs={"head": head, "emit": emit},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
-    if concurrency is None:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-        concurrency = max(2, cpus // 2)
-    return transcripts_ds.map_batches(
-        Extractor,
-        fn_constructor_kwargs={"head": head, "gold_ref": gold_ref, "emit": emit},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+        return stages_base.map_turns(
+            transcripts_ds, _task_extract, batch_size,
+            kwargs={"head": head, "emit": emit})
+    return stages_base.map_turns(
+        transcripts_ds, Extractor, batch_size, concurrency,
+        kwargs={"head": head, "gold_ref": gold_ref, "emit": emit})
 
 
 def explode_complex_slots(triples_ds):

@@ -1,7 +1,11 @@
 """Full KG-construction pipeline (north_star):
 
-    transcripts ─ extract (actor pool) ─ triples ─┬─ mentions → link → canonicalize → nodes
-                                                  └─ edge combine → dedup/weight → edges
+    transcripts ─ extract (tasks) ─ triples ─┬─ mentions → link → canonicalize → nodes
+                                             └─ edge combine → dedup/weight → edges
+
+Extraction runs as task-based ``map_batches`` with a per-worker cached
+extractor (``extract_triples``' default; an actor pool only when a gold
+lookup is broadcast).
 
 Stage boundaries are Parquet directories: ``out_dir/triples``,
 ``out_dir/nodes``, ``out_dir/edges``.  Triples are written once and re-read by

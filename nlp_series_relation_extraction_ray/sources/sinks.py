@@ -11,11 +11,12 @@ the pipelines); this module adds the reference-compatible artifacts:
 
 from __future__ import annotations
 
-from .readers import table_from_pandas
-
 import json
 
 import pyarrow as pa
+
+from ..functions.grouping import bucketed_group_apply
+from .readers import table_from_pandas
 
 
 def triples_to_duie_rows(batch: pa.Table, text_for=None) -> pa.Table:
@@ -23,8 +24,9 @@ def triples_to_duie_rows(batch: pa.Table, text_for=None) -> pa.Table:
 
     ``text_for(conv_id, turn_idx)`` supplies the turn text (defaults to the
     synthetic corpus regenerator).  Emits one row per (conv_id, turn_idx)
-    present in the batch — the extractor keeps each turn's triples within
-    one batch, so no cross-batch merge is needed.
+    present in the batch, its ``spo_list`` in the batch's row order; a turn
+    whose triples span several batches needs them brought together first
+    (:func:`write_prediction_jsonl` does).
     """
     if text_for is None:
         from .transcripts import turn_text
@@ -33,16 +35,18 @@ def triples_to_duie_rows(batch: pa.Table, text_for=None) -> pa.Table:
             return turn_text(int(cid.rsplit("-", 1)[1]), tix)
 
     per_turn: dict[tuple[str, int], list[dict]] = {}
-    for i in range(batch.num_rows):
-        key = (batch["conv_id"][i].as_py(), batch["turn_idx"][i].as_py())
-        spo = {
-            "predicate": batch["predicate"][i].as_py(),
-            "subject": batch["subject"][i].as_py(),
-            "subject_type": batch["subject_type"][i].as_py(),
-            "object": json.loads(batch["object_json"][i].as_py()),
-            "object_type": json.loads(batch["object_type_json"][i].as_py()),
-        }
-        per_turn.setdefault(key, []).append(spo)
+    for cid, tix, pred, subj, subj_type, obj, obj_type in zip(*(
+        batch[c].to_pylist()
+        for c in ("conv_id", "turn_idx", "predicate", "subject",
+                  "subject_type", "object_json", "object_type_json")
+    )):
+        per_turn.setdefault((cid, tix), []).append({
+            "predicate": pred,
+            "subject": subj,
+            "subject_type": subj_type,
+            "object": json.loads(obj),
+            "object_type": json.loads(obj_type),
+        })
 
     keys, lines = [], []
     for (cid, tix), spo_list in per_turn.items():
@@ -64,23 +68,21 @@ def triples_to_duie_rows(batch: pa.Table, text_for=None) -> pa.Table:
 def write_prediction_jsonl(triples_ds, path: str) -> int:
     """Materialize the DuIE prediction artifact to one JSONL file.
 
-    A ``groupby(conv_id, turn_idx)`` co-locates each turn's triples first,
+    ``bucketed_group_apply`` on (conv_id, turn_idx) hands the kernel whole
+    turns, each in input row order,
     so the per-turn assembly is correct under ANY upstream batching
     (checkpoint-re-read triples can straddle batch boundaries).  Driver-side
     small-result write (the artifact is an eval byproduct, not the data
     path — bulk output stays Parquet).  Returns line count.
     """
 
-    def per_turn(df) -> "pa.Table":
-        return triples_to_duie_rows(
-            table_from_pandas(df, preserve_index=False)
-        )
+    def per_frame(df):
+        return triples_to_duie_rows(table_from_pandas(df)).to_pandas()
 
-    rows = (
-        triples_ds.groupby(["conv_id", "turn_idx"])
-        .map_groups(per_turn, batch_format="pandas")
-        .to_pandas()
-    )
+    rows = bucketed_group_apply(
+        triples_ds, ["conv_id", "turn_idx"], per_frame,
+        empty_result={"turn_key": "object", "json_line": "object"},
+    ).to_pandas()
     rows = rows.sort_values("turn_key")
     with open(path, "w", encoding="utf-8") as f:
         for line in rows["json_line"]:

@@ -92,3 +92,35 @@ def worker_cached(kind, builder, version=None):
     if hit is None or hit[0] != version:
         hit = _WORKER_CACHE[kind] = (version, builder())
     return hit[1]
+
+
+TURN_COLUMNS = ["conv_id", "turn_idx", "text"]
+
+
+def map_turns(transcripts_ds, fn, batch_size: int, concurrency=None,
+              kwargs=None):
+    """The one extraction ``map_batches``: Arrow batches of the turn
+    columns through ``fn``.
+
+    Only ``TURN_COLUMNS`` are kept, so role/tool/ts are dropped before they
+    ship through the object store (when reading Parquet, pair this with
+    ``read_parquet(columns=...)``).  A function ``fn`` runs as tasks with
+    ``kwargs`` as its keyword arguments.  A class ``fn`` runs as an actor
+    pool, one CPU per actor, built with ``kwargs``; ``concurrency``
+    defaults to half the cluster's CPUs, at least 2.
+    """
+    names = transcripts_ds.schema().names
+    if set(TURN_COLUMNS) < set(names):
+        transcripts_ds = transcripts_ds.select_columns(TURN_COLUMNS)
+    if not isinstance(fn, type):
+        return transcripts_ds.map_batches(
+            fn, fn_kwargs=kwargs, batch_format="pyarrow",
+            batch_size=batch_size)
+    if concurrency is None:
+        import ray
+
+        cpus = int(ray.cluster_resources().get("CPU", 4))
+        concurrency = max(2, cpus // 2)
+    return transcripts_ds.map_batches(
+        fn, fn_constructor_kwargs=kwargs, batch_format="pyarrow",
+        batch_size=batch_size, concurrency=concurrency, num_cpus=1)

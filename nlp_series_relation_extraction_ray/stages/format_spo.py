@@ -1,4 +1,5 @@
-"""D4: span-level spoes -> formatted SPO dicts (shared by MPN/MHS/biaffine).
+"""D4: span-level spoes -> formatted SPO dicts (shared by MPN/MHS/biaffine),
+and SPO dicts -> rows of the triples table (shared by every extractor).
 
 Parity: ``convert2ressult`` (``/root/reference/run_evaluation.py:85-176``) —
 sorts each subject's po list by predicate id, slices entity text through the
@@ -14,6 +15,10 @@ affiliated candidate list (it would crash), we skip the slot.
 
 from __future__ import annotations
 
+import json
+
+import pyarrow as pa
+
 from ..schema import (
     COMPLEX_RELATION_AFFI_IDS,
     COMPLEX_RELATION_IDS,
@@ -23,6 +28,41 @@ from ..schema import (
 
 _AWARD_ID = 24  # 获奖_@value
 _AWARD_AFFI_IDS = (25, 26, 27)  # 获奖 inWork/onDate/period
+
+# the one row format of extracted triples, written by every head
+TRIPLE_SCHEMA = pa.schema(
+    [
+        ("conv_id", pa.string()),
+        ("turn_idx", pa.int32()),
+        ("head", pa.string()),
+        ("predicate", pa.string()),
+        ("subject", pa.string()),
+        ("subject_type", pa.string()),
+        ("object_json", pa.string()),
+        ("object_type_json", pa.string()),
+        ("object_value", pa.string()),
+    ]
+)
+
+
+def triples_table(rows) -> pa.Table:
+    """``(conv_id, turn_idx, head, spo)`` rows -> a ``TRIPLE_SCHEMA`` table.
+
+    ``object_json`` / ``object_type_json`` are the spo's dicts as sorted-key
+    JSON with raw (unescaped) CJK; ``object_value`` is the ``@value`` slot.
+    """
+    recs = [
+        (cid, tix, head, spo["predicate"], spo["subject"], spo["subject_type"],
+         json.dumps(spo["object"], ensure_ascii=False, sort_keys=True),
+         json.dumps(spo["object_type"], ensure_ascii=False, sort_keys=True),
+         spo["object"].get("@value", ""))
+        for cid, tix, head, spo in rows
+    ]
+    cols = zip(*recs) if recs else [()] * len(TRIPLE_SCHEMA)
+    return pa.Table.from_arrays(
+        [pa.array(list(c), f.type) for c, f in zip(cols, TRIPLE_SCHEMA)],
+        schema=TRIPLE_SCHEMA,
+    )
 
 
 def slice_span(context: str, tok_start: list[int], tok_end: list[int],

@@ -1,17 +1,19 @@
-"""Trained (non-oracle) scorers for the baseline head and the MPN cascade.
+"""Trained (non-oracle) scorers for the four heads: baseline, MPN, MHS and
+biaffine, plus a batched-tensor form of the baseline.
 
-Demonstrates the real model slot of the architecture: a hashed-feature
-linear-logistic per-token classifier over the 112 BIO labels, trained
+Demonstrates the real model slot of the architecture: hashed-feature
+linear-logistic scorers (a bilinear pair scorer for biaffine), trained
 driver-side with seeded minibatch SGD on oracle labels from a disjoint
-conversation range, then deployed as an ACTOR-POOL ``map_batches`` stage —
-weights broadcast once via ``ray.put``, loaded in ``__init__`` (the
-reference's checkpoint-load-then-eval pattern, ``run_baseline.py:214-217`` /
-``predict.py:66-67``, in distributed form).  Scoring is fully vectorized
-numpy (gather + sum + sigmoid); decode is the unchanged D1.
+conversation range, then deployed as one stage shape,
+:class:`TrainedExtractor` — weights broadcast once via ``ray.put`` and read
+in ``__init__`` (the reference's checkpoint-load-then-eval pattern,
+``run_baseline.py:214-217`` / ``predict.py:66-67``, in distributed form),
+and one ``__call__`` for every head.  Scoring is vectorized numpy (gather +
+sum + sigmoid); decode is each head's unchanged decoder.
 
 Measured on the fixture corpus (train convs 50000+, eval convs 0..300):
-F1 ≈ 0.99 — a learned model clearing the BASELINE.md ≥0.95 gate without
-torch or pretrained weights, end to end deterministic.
+baseline F1 ≈ 0.99 — a learned model clearing the BASELINE.md ≥0.95 gate
+without torch or pretrained weights, end to end deterministic.
 """
 
 from __future__ import annotations
@@ -19,7 +21,17 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..schema import E_NUM
+from .base import map_turns, worker_cached
 from .baseline_head import BaselineHead
+from .format_spo import format_spoes, slice_span, triples_table
+from .mhs_head import (
+    MhsHead,
+    build_gold_typed_spoes,
+    decode_pairs,
+    decode_typed_spans,
+)
+from .mpn_head import MpnHead, build_gold_spoes, decode_po, decode_subjects
 
 F_DIM = 1 << 16
 K_FEATS = 9
@@ -109,68 +121,59 @@ def score_tokens(W: np.ndarray, b: np.ndarray, tokens: list[str]) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-(W[idx].sum(axis=1) + b)))
 
 
-def _extract_batch_baseline(W: np.ndarray, b: np.ndarray, head,
-                            batch: pa.Table) -> pa.Table:
-    """Shared per-batch kernel of BOTH physical plans (task pool and actor
-    pool): score each turn with the trained weights and decode triples."""
-    import json
+class TrainedExtractor:
+    """The one trained-head stage: trained weights in, triples out.
 
-    out = {k: [] for k in ("conv_id", "turn_idx", "head", "predicate",
-                           "subject", "subject_type", "object_json",
-                           "object_type_json", "object_value")}
-    for cid, tix, text in zip(
-        batch["conv_id"].to_pylist(),
-        batch["turn_idx"].to_pylist(),
-        batch["text"].to_pylist(),
-    ):
-        ex = head.preprocess(text)
-        probs = score_tokens(W, b, ex["tokens"])
-        _, spo_list = head.decode(ex, probs)
-        for spo in spo_list:
-            out["conv_id"].append(cid)
-            out["turn_idx"].append(tix)
-            out["head"].append("baseline-trained")
-            out["predicate"].append(spo["predicate"])
-            out["subject"].append(spo["subject"])
-            out["subject_type"].append(spo["subject_type"])
-            out["object_json"].append(
-                json.dumps(spo["object"], ensure_ascii=False,
-                           sort_keys=True))
-            out["object_type_json"].append(
-                json.dumps(spo["object_type"], ensure_ascii=False,
-                           sort_keys=True))
-            out["object_value"].append(spo["object"].get("@value", ""))
-    return pa.Table.from_pydict(
-        {
-            "conv_id": pa.array(out["conv_id"], pa.string()),
-            "turn_idx": pa.array(out["turn_idx"], pa.int32()),
-            "head": pa.array(out["head"], pa.string()),
-            "predicate": pa.array(out["predicate"], pa.string()),
-            "subject": pa.array(out["subject"], pa.string()),
-            "subject_type": pa.array(out["subject_type"], pa.string()),
-            "object_json": pa.array(out["object_json"], pa.string()),
-            "object_type_json": pa.array(out["object_type_json"],
-                                         pa.string()),
-            "object_value": pa.array(out["object_value"], pa.string()),
-        }
-    )
-
-
-class TrainedBaselineExtractor:
-    """Actor-pool stage: trained weights in, triples out.
-
-    ``weights_ref``: ``ray.ObjectRef`` to ``(W, b)`` — broadcast once, read
-    per actor in ``__init__`` (zero-copy from the local object store).
+    ``weights_ref``: ``ray.ObjectRef`` to the head's weight tuple —
+    broadcast once, read in ``__init__`` (zero-copy from the local object
+    store).  A subclass names its ``head`` column value (``label``) and
+    its preprocessing head (``head_cls``), and scores+decodes one
+    preprocessed turn in ``_spo_list``; ``__call__`` is shared.
     """
+
+    label: str
+    head_cls: type
 
     def __init__(self, weights_ref):
         import ray
 
-        self.W, self.b = ray.get(weights_ref)
-        self.head = BaselineHead()
+        self.weights = ray.get(weights_ref)
+        self.head = self.head_cls()
+
+    def _spo_lists(self, exs: list[dict]) -> list[list[dict]]:
+        return [self._spo_list(ex) for ex in exs]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        return _extract_batch_baseline(self.W, self.b, self.head, batch)
+        exs = [self.head.preprocess(t) for t in batch["text"].to_pylist()]
+        return triples_table(
+            (cid, tix, self.label, spo)
+            for cid, tix, spo_list in zip(
+                batch["conv_id"].to_pylist(),
+                batch["turn_idx"].to_pylist(),
+                self._spo_lists(exs),
+            )
+            for spo in spo_list
+        )
+
+
+class TrainedBaselineExtractor(TrainedExtractor):
+    """Trained baseline head: per-token probabilities from ``(W, b)``, then
+    the baseline decode."""
+
+    label = "baseline-trained"
+    head_cls = BaselineHead
+
+    def _spo_list(self, ex: dict) -> list[dict]:
+        W, b = self.weights
+        return self.head.decode(ex, score_tokens(W, b, ex["tokens"]))[1]
+
+
+def _task_extract_trained(batch: pa.Table, weights_ref) -> pa.Table:
+    # a new weights broadcast replaces the worker's cached entry
+    return worker_cached(
+        "trained_weights", lambda: TrainedBaselineExtractor(weights_ref),
+        weights_ref.hex(),
+    )(batch)
 
 
 def extract_triples_trained(
@@ -178,10 +181,11 @@ def extract_triples_trained(
     plan: str = "tasks",
 ):
     """Trained-scorer extraction with broadcast model weights (28 MB,
-    ``ray.put`` once).  Two physical plans, identical output:
+    ``ray.put`` once).  Two physical plans of one
+    :class:`TrainedBaselineExtractor`, identical output:
 
     - ``plan="tasks"`` (default): plain ``map_batches`` over the shared
-      long-lived task workers, weights resolved through the per-process
+      long-lived task workers, the extractor built through the per-process
       :func:`~.base.worker_cached` cache (one zero-copy plasma read per
       worker per broadcast).  Because task workers survive across Dataset
       executions, a session's SECOND trained job starts at full speed — an
@@ -189,54 +193,24 @@ def extract_triples_trained(
       execution, which is exactly the cold/warm gap the bench history showed
       (r2 7.2 s → r3 18.7 s → r4 8.55 s warm with identical code).  The
       state is immutable broadcast data, so actor affinity buys nothing.
-    - ``plan="actors"``: the explicit actor-pool stage
-      (:class:`TrainedBaselineExtractor`, weights in ``__init__``) — the
-      shape a GPU/torch scorer needs (pin memory, per-actor device), kept
-      as the S6 reference plan and used by the other trained heads.
+    - ``plan="actors"``: the explicit actor-pool stage (weights in
+      ``__init__``) — the shape a GPU/torch scorer needs (pin memory,
+      per-actor device), kept as the S6 reference plan and used by the
+      other trained heads.
 
     Any other ``plan`` raises ``ValueError``.
     """
     if plan not in ("tasks", "actors"):
         raise ValueError(
             f"unknown plan {plan!r}: expected 'tasks' or 'actors'")
-    names = transcripts_ds.schema().names
-    needed = ["conv_id", "turn_idx", "text"]
-    if set(needed) < set(names):
-        transcripts_ds = transcripts_ds.select_columns(needed)
-    if plan == "tasks":
-        import ray
-
-        from .base import worker_cached
-
-        version = weights_ref.hex()
-
-        def fn(batch: pa.Table) -> pa.Table:
-            # a new weights broadcast replaces the worker's cached entry
-            (W, b), head = worker_cached(
-                "trained_weights",
-                lambda: (ray.get(weights_ref), BaselineHead()), version,
-            )
-            return _extract_batch_baseline(W, b, head, batch)
-
-        return transcripts_ds.map_batches(
-            fn, batch_format="pyarrow", batch_size=batch_size
-        )
-    if concurrency is None:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-        concurrency = max(2, cpus // 2)
-    return transcripts_ds.map_batches(
-        TrainedBaselineExtractor,
-        fn_constructor_kwargs={"weights_ref": weights_ref},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+    if plan == "actors":
+        return map_turns(transcripts_ds, TrainedBaselineExtractor, batch_size,
+                         concurrency, kwargs={"weights_ref": weights_ref})
+    return map_turns(transcripts_ds, _task_extract_trained, batch_size,
+                     kwargs={"weights_ref": weights_ref})
 
 
-class BatchedTensorBaselineExtractor:
+class BatchedTensorBaselineExtractor(TrainedBaselineExtractor):
     """The GPU-shaped slot proof: scores a WHOLE batch as one padded tensor
     op with the exact ``[B, L, 112]`` interface of the reference forward
     (``/root/reference/models/model_baseline.py:6-24`` — padded token batch
@@ -251,13 +225,13 @@ class BatchedTensorBaselineExtractor:
     ``num_gpus`` on the ``map_batches`` call.
     """
 
-    def __init__(self, weights_ref):
-        import ray
+    label = "baseline-batched"
 
-        W, self.b = ray.get(weights_ref)
+    def __init__(self, weights_ref):
+        super().__init__(weights_ref)
+        W, self.b = self.weights
         # reserved pad row: id F_DIM scores zero everywhere
         self.W_pad = np.vstack([W, np.zeros((1, W.shape[1]), W.dtype)])
-        self.head = BaselineHead()
 
     def _score_batch(self, token_lists: list[list[str]]) -> np.ndarray:
         """[B, L_max, 112] probs in one vectorized gather+sum+sigmoid."""
@@ -270,51 +244,14 @@ class BatchedTensorBaselineExtractor:
             1.0 + np.exp(-(self.W_pad[idx].sum(axis=2) + self.b))
         )
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import json
-
-        out = {k: [] for k in ("conv_id", "turn_idx", "head", "predicate",
-                               "subject", "subject_type", "object_json",
-                               "object_type_json", "object_value")}
-        if batch.num_rows == 0:
+    def _spo_lists(self, exs: list[dict]) -> list[list[dict]]:
+        if not exs:
             # Ray Data can hand a stage a zero-row block; _score_batch's
             # max() over lengths would raise on it
-            exs, probs = [], None
-        else:
-            exs = [self.head.preprocess(t)
-                   for t in batch["text"].to_pylist()]
-            probs = self._score_batch([ex["tokens"] for ex in exs])
-        for i, (cid, tix) in enumerate(zip(
-            batch["conv_id"].to_pylist(), batch["turn_idx"].to_pylist()
-        )):
-            L = len(exs[i]["tokens"])
-            _, spo_list = self.head.decode(exs[i], probs[i, :L])
-            for spo in spo_list:
-                out["conv_id"].append(cid)
-                out["turn_idx"].append(tix)
-                out["head"].append("baseline-batched")
-                out["predicate"].append(spo["predicate"])
-                out["subject"].append(spo["subject"])
-                out["subject_type"].append(spo["subject_type"])
-                out["object_json"].append(json.dumps(
-                    spo["object"], ensure_ascii=False, sort_keys=True))
-                out["object_type_json"].append(json.dumps(
-                    spo["object_type"], ensure_ascii=False, sort_keys=True))
-                out["object_value"].append(spo["object"].get("@value", ""))
-        return pa.Table.from_pydict(
-            {
-                "conv_id": pa.array(out["conv_id"], pa.string()),
-                "turn_idx": pa.array(out["turn_idx"], pa.int32()),
-                "head": pa.array(out["head"], pa.string()),
-                "predicate": pa.array(out["predicate"], pa.string()),
-                "subject": pa.array(out["subject"], pa.string()),
-                "subject_type": pa.array(out["subject_type"], pa.string()),
-                "object_json": pa.array(out["object_json"], pa.string()),
-                "object_type_json": pa.array(out["object_type_json"],
-                                             pa.string()),
-                "object_value": pa.array(out["object_value"], pa.string()),
-            }
-        )
+            return []
+        probs = self._score_batch([ex["tokens"] for ex in exs])
+        return [self.head.decode(ex, p[: len(ex["tokens"])])[1]
+                for ex, p in zip(exs, probs)]
 
 
 def extract_triples_batched_tensor(
@@ -323,23 +260,9 @@ def extract_triples_batched_tensor(
     """Batched-tensor extraction through the actor pool.  ``batch_size``
     bounds the padded tensor (B × L_max × 112 floats); for a GPU scorer add
     ``num_gpus=...`` here and nothing else changes."""
-    if concurrency is None:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-        concurrency = max(2, cpus // 2)
-    names = transcripts_ds.schema().names
-    needed = ["conv_id", "turn_idx", "text"]
-    if set(needed) < set(names):
-        transcripts_ds = transcripts_ds.select_columns(needed)
-    return transcripts_ds.map_batches(
-        BatchedTensorBaselineExtractor,
-        fn_constructor_kwargs={"weights_ref": weights_ref},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+    return map_turns(transcripts_ds, BatchedTensorBaselineExtractor,
+                     batch_size, concurrency,
+                     kwargs={"weights_ref": weights_ref})
 
 
 # ---- trained MPN cascade -------------------------------------------------
@@ -396,8 +319,6 @@ def train_mpn_scorer(
     F1 ≈ 0.98 on held-out conversations (recall 1.0); reduce the budget for
     fast smoke runs.  Returns ``(W_sub, b_sub, W_po, b_po)``."""
     from ..sources.transcripts import fact_for, n_turns, turn_text
-    from .format_spo import slice_span
-    from .mpn_head import MpnHead, build_gold_spoes
 
     head = MpnHead()
     xs, ys, xp, yp = [], [], [], []
@@ -431,105 +352,41 @@ def train_mpn_scorer(
     return W_sub, b_sub, W_po, b_po
 
 
-class TrainedMpnExtractor:
-    """Actor-pool stage for the trained cascade: stage-1 subject decode and
-    the data-dependent per-subject stage-2 expansion both run inside one
-    call, exactly like the oracle path (and the reference's in-forward
-    chunking, models/model_mpn.py:206-211)."""
+class TrainedMpnExtractor(TrainedExtractor):
+    """Trained cascade: stage-1 subject decode and the data-dependent
+    per-subject stage-2 expansion both run inside one call, exactly like
+    the oracle path (and the reference's in-forward chunking,
+    models/model_mpn.py:206-211)."""
 
-    def __init__(self, weights_ref):
-        import ray
-
-        self.W_sub, self.b_sub, self.W_po, self.b_po = ray.get(weights_ref)
-        from .mpn_head import MpnHead
-
-        self.head = MpnHead()
+    label = "mpn-trained"
+    head_cls = MpnHead
 
     def _spo_list(self, ex: dict) -> list[dict]:
-        from .format_spo import format_spoes, slice_span
-        from .mpn_head import decode_po, decode_subjects
-
+        W_sub, b_sub, W_po, b_po = self.weights
         tokens = ex["tokens"]
         sub_probs = 1.0 / (1.0 + np.exp(
-            -(self.W_sub[featurize(tokens)].sum(axis=1) + self.b_sub)))
+            -(W_sub[featurize(tokens)].sum(axis=1) + b_sub)))
         subjects = decode_subjects(sub_probs, tokens)
         spoes_pred: dict = {}
         for s in subjects:
             surf = slice_span(ex["context"], ex["tok_start"], ex["tok_end"], s)
             po = 1.0 / (1.0 + np.exp(
-                -(self.W_po[featurize_po(tokens, s, surf)].sum(axis=1)
-                  + self.b_po)))
+                -(W_po[featurize_po(tokens, s, surf)].sum(axis=1) + b_po)))
             po = po.reshape(len(tokens), R_SLOTS, 2)
             spoes_pred.setdefault(s, []).extend(decode_po(po, tokens))
         return format_spoes(ex["context"], ex["tok_start"], ex["tok_end"],
                             spoes_pred)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import json
-
-        out = {k: [] for k in ("conv_id", "turn_idx", "head", "predicate",
-                               "subject", "subject_type", "object_json",
-                               "object_type_json", "object_value")}
-        for cid, tix, text in zip(
-            batch["conv_id"].to_pylist(),
-            batch["turn_idx"].to_pylist(),
-            batch["text"].to_pylist(),
-        ):
-            ex = self.head.preprocess(text)
-            for spo in self._spo_list(ex):
-                out["conv_id"].append(cid)
-                out["turn_idx"].append(tix)
-                out["head"].append("mpn-trained")
-                out["predicate"].append(spo["predicate"])
-                out["subject"].append(spo["subject"])
-                out["subject_type"].append(spo["subject_type"])
-                out["object_json"].append(json.dumps(
-                    spo["object"], ensure_ascii=False, sort_keys=True))
-                out["object_type_json"].append(json.dumps(
-                    spo["object_type"], ensure_ascii=False, sort_keys=True))
-                out["object_value"].append(spo["object"].get("@value", ""))
-        return pa.Table.from_pydict(
-            {
-                "conv_id": pa.array(out["conv_id"], pa.string()),
-                "turn_idx": pa.array(out["turn_idx"], pa.int32()),
-                "head": pa.array(out["head"], pa.string()),
-                "predicate": pa.array(out["predicate"], pa.string()),
-                "subject": pa.array(out["subject"], pa.string()),
-                "subject_type": pa.array(out["subject_type"], pa.string()),
-                "object_json": pa.array(out["object_json"], pa.string()),
-                "object_type_json": pa.array(out["object_type_json"],
-                                             pa.string()),
-                "object_value": pa.array(out["object_value"], pa.string()),
-            }
-        )
-
 
 def extract_triples_trained_mpn(transcripts_ds, weights_ref,
                                 concurrency=None, batch_size: int = 128):
-    if concurrency is None:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-        concurrency = max(2, cpus // 2)
-    names = transcripts_ds.schema().names
-    needed = ["conv_id", "turn_idx", "text"]
-    if set(needed) < set(names):
-        transcripts_ds = transcripts_ds.select_columns(needed)
-    return transcripts_ds.map_batches(
-        TrainedMpnExtractor,
-        fn_constructor_kwargs={"weights_ref": weights_ref},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+    return map_turns(transcripts_ds, TrainedMpnExtractor, batch_size,
+                     concurrency, kwargs={"weights_ref": weights_ref})
 
 
 # ---- trained MHS (typed spans + pair selection) --------------------------
 
-from ..schema import E_NUM as _E_NUM  # noqa: E402
-
-_E1 = _E_NUM + 1
+_E1 = E_NUM + 1
 
 
 def featurize_typed(tokens: list[str]) -> np.ndarray:
@@ -566,6 +423,26 @@ def featurize_pair(tokens: list[str], i: int, j: int) -> np.ndarray:
     )
 
 
+def _typed_span_labels(tokens: list[str], gold: list[dict]):
+    """Typed-span training targets of one turn, shared by MHS and biaffine:
+    ``(ysp [L, 2*(E+1)] start/end type labels, gold span ends,
+    {(subject_end, object_end): predicate_id})``."""
+    spoes, _ = build_gold_typed_spoes(tokens, gold)
+    ysp = np.zeros((len(tokens), 2 * _E1), dtype=np.float32)
+    ends: set[int] = set()
+    pair_pos: dict[tuple[int, int], int] = {}
+    for s, os_ in spoes.items():
+        ysp[s[0], s[2]] = 1
+        ysp[s[1], _E1 + s[2]] = 1
+        ends.add(s[1])
+        for o in os_:
+            ysp[o[0], o[2]] = 1
+            ysp[o[1], _E1 + o[2]] = 1
+            ends.add(o[1])
+            pair_pos[(s[1], o[1])] = o[3]
+    return ysp, ends, pair_pos
+
+
 def train_mhs_scorer(
     train_lo: int = 50_000,
     n_train_convs: int = 1_500,
@@ -578,7 +455,6 @@ def train_mhs_scorer(
     negatives).  Full recipe measures F1 = 1.0 on held-out conversations.
     Returns ``(W_span, b_span, W_pair, b_pair)``."""
     from ..sources.transcripts import fact_for, n_turns, turn_text
-    from .mhs_head import MhsHead, build_gold_typed_spoes
 
     head = MhsHead()
     xs, ys, xp, yp = [], [], [], []
@@ -590,19 +466,7 @@ def train_mhs_scorer(
             ex = head.preprocess(turn_text(i, j))
             tokens = ex["tokens"]
             L = len(tokens)
-            spoes, _ = build_gold_typed_spoes(tokens, gold)
-            ysp = np.zeros((L, 2 * _E1), dtype=np.float32)
-            ends: set[int] = set()
-            pair_pos: dict[tuple[int, int], int] = {}
-            for s, os_ in spoes.items():
-                ysp[s[0], s[2]] = 1
-                ysp[s[1], _E1 + s[2]] = 1
-                ends.add(s[1])
-                for o in os_:
-                    ysp[o[0], o[2]] = 1
-                    ysp[o[1], _E1 + o[2]] = 1
-                    ends.add(o[1])
-                    pair_pos[(s[1], o[1])] = o[3]
+            ysp, ends, pair_pos = _typed_span_labels(tokens, gold)
             xs.append(featurize_typed(tokens))
             ys.append(ysp)
             cand = sorted(ends) + list(rng.randint(1, max(2, L - 1), size=2))
@@ -621,78 +485,37 @@ def train_mhs_scorer(
     return W_span, b_span, W_pair, b_pair
 
 
-class TrainedMhsExtractor:
-    """Actor-pool stage for the trained MHS head: typed spans decode first,
-    then the pair model scores ONLY pairs among decoded span ends (the
-    dense [L,L,R] tensor the parity decoder consumes is synthesized sparse
-    — never the full cartesian scoring)."""
+class TrainedMhsExtractor(TrainedExtractor):
+    """Trained MHS head: typed spans decode first, then the pair model
+    scores ONLY pairs among decoded span ends (the dense [L,L,R] tensor the
+    parity decoder consumes is synthesized sparse — never the full
+    cartesian scoring)."""
 
-    def __init__(self, weights_ref):
-        import ray
-
-        (self.W_span, self.b_span,
-         self.W_pair, self.b_pair) = ray.get(weights_ref)
-        from .mhs_head import MhsHead
-
-        self.head = MhsHead()
+    label = "mhs-trained"
+    head_cls = MhsHead
 
     def _spo_list(self, ex: dict) -> list[dict]:
-        from .format_spo import format_spoes
-        from .mhs_head import decode_pairs, decode_typed_spans
-
+        W_span, b_span, W_pair, b_pair = self.weights
         tokens = ex["tokens"]
         L = len(tokens)
         sp = 1.0 / (1.0 + np.exp(
-            -(self.W_span[featurize_typed(tokens)].sum(axis=1) + self.b_span)))
+            -(W_span[featurize_typed(tokens)].sum(axis=1) + b_span)))
         subjects, end_list = decode_typed_spans(sp[:, :_E1], sp[:, _E1:])
         pair = np.zeros((L, L, R_SLOTS), dtype=np.float32)
         for a in end_list:
             for b in end_list:
                 pair[a, b] = 1.0 / (1.0 + np.exp(
-                    -(self.W_pair[featurize_pair(tokens, a, b)].sum(axis=0)
-                      + self.b_pair)))
+                    -(W_pair[featurize_pair(tokens, a, b)].sum(axis=0)
+                      + b_pair)))
         spoes_pred = decode_pairs(pair, subjects, end_list)
         return format_spoes(ex["context"], ex["tok_start"], ex["tok_end"],
                             spoes_pred)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import json
 
-        out = {k: [] for k in ("conv_id", "turn_idx", "head", "predicate",
-                               "subject", "subject_type", "object_json",
-                               "object_type_json", "object_value")}
-        for cid, tix, text in zip(
-            batch["conv_id"].to_pylist(),
-            batch["turn_idx"].to_pylist(),
-            batch["text"].to_pylist(),
-        ):
-            ex = self.head.preprocess(text)
-            for spo in self._spo_list(ex):
-                out["conv_id"].append(cid)
-                out["turn_idx"].append(tix)
-                out["head"].append("mhs-trained")
-                out["predicate"].append(spo["predicate"])
-                out["subject"].append(spo["subject"])
-                out["subject_type"].append(spo["subject_type"])
-                out["object_json"].append(json.dumps(
-                    spo["object"], ensure_ascii=False, sort_keys=True))
-                out["object_type_json"].append(json.dumps(
-                    spo["object_type"], ensure_ascii=False, sort_keys=True))
-                out["object_value"].append(spo["object"].get("@value", ""))
-        return pa.Table.from_pydict(
-            {
-                "conv_id": pa.array(out["conv_id"], pa.string()),
-                "turn_idx": pa.array(out["turn_idx"], pa.int32()),
-                "head": pa.array(out["head"], pa.string()),
-                "predicate": pa.array(out["predicate"], pa.string()),
-                "subject": pa.array(out["subject"], pa.string()),
-                "subject_type": pa.array(out["subject_type"], pa.string()),
-                "object_json": pa.array(out["object_json"], pa.string()),
-                "object_type_json": pa.array(out["object_type_json"],
-                                             pa.string()),
-                "object_value": pa.array(out["object_value"], pa.string()),
-            }
-        )
+def extract_triples_trained_mhs(transcripts_ds, weights_ref,
+                                concurrency=None, batch_size: int = 128):
+    return map_turns(transcripts_ds, TrainedMhsExtractor, batch_size,
+                     concurrency, kwargs={"weights_ref": weights_ref})
 
 
 # ---- trained biaffine (bilinear end-pair attention) ----------------------
@@ -745,7 +568,6 @@ def train_biaffine_scorer(
     embeddings.  Returns ``(W_span, b_span, E, U, V, c)``.  Deterministic.
     """
     from ..sources.transcripts import fact_for, n_turns, turn_text
-    from .mhs_head import MhsHead, build_gold_typed_spoes
 
     head = MhsHead()
     E = _embed_table()
@@ -759,19 +581,7 @@ def train_biaffine_scorer(
             ex = head.preprocess(turn_text(i, j))
             tokens = ex["tokens"]
             L = len(tokens)
-            spoes, _ = build_gold_typed_spoes(tokens, gold)
-            ysp = np.zeros((L, 2 * _E1), dtype=np.float32)
-            ends: set[int] = set()
-            pair_pos: dict[tuple[int, int], int] = {}
-            for s, os_ in spoes.items():
-                ysp[s[0], s[2]] = 1
-                ysp[s[1], _E1 + s[2]] = 1
-                ends.add(s[1])
-                for o in os_:
-                    ysp[o[0], o[2]] = 1
-                    ysp[o[1], _E1 + o[2]] = 1
-                    ends.add(o[1])
-                    pair_pos[(s[1], o[1])] = o[3]
+            ysp, ends, pair_pos = _typed_span_labels(tokens, gold)
             xs.append(featurize_typed(tokens))
             ys.append(ysp)
             emb = _embed_tokens(E, tokens)
@@ -807,120 +617,37 @@ def train_biaffine_scorer(
     return W_span, b_span, E, U, V, c
 
 
-class TrainedBiaffineExtractor:
-    """Actor-pool stage for the trained biaffine head: typed spans decode
-    first, then the bilinear pair model scores only decoded end pairs
-    (vectorized over the end×end candidate grid — never the dense L×L
-    cartesian the reference materializes on GPU)."""
+class TrainedBiaffineExtractor(TrainedExtractor):
+    """Trained biaffine head: typed spans decode first, then the bilinear
+    pair model scores only decoded end pairs (vectorized over the end×end
+    candidate grid — never the dense L×L cartesian the reference
+    materializes on GPU)."""
 
-    def __init__(self, weights_ref):
-        import ray
-
-        (self.W_span, self.b_span, self.E,
-         self.U, self.V, self.c) = ray.get(weights_ref)
-        from .mhs_head import MhsHead
-
-        self.head = MhsHead()
+    label = "biaffine-trained"
+    head_cls = MhsHead
 
     def _spo_list(self, ex: dict) -> list[dict]:
-        from .format_spo import format_spoes
-        from .mhs_head import decode_pairs, decode_typed_spans
-
+        W_span, b_span, E, U, V, c = self.weights
         tokens = ex["tokens"]
         L = len(tokens)
         sp = 1.0 / (1.0 + np.exp(
-            -(self.W_span[featurize_typed(tokens)].sum(axis=1) + self.b_span)))
+            -(W_span[featurize_typed(tokens)].sum(axis=1) + b_span)))
         subjects, end_list = decode_typed_spans(sp[:, :_E1], sp[:, _E1:])
         pair = np.zeros((L, L, R_SLOTS), dtype=np.float32)
         if end_list:
-            emb = _embed_tokens(self.E, tokens)
+            emb = _embed_tokens(E, tokens)
             ends = np.asarray(end_list, dtype=np.int64)
             a_idx = np.repeat(ends, len(ends))
             b_idx = np.tile(ends, len(ends))
             probs = 1.0 / (1.0 + np.exp(-_biaffine_scores(
-                self.U, self.V, self.c, emb[a_idx], emb[b_idx])))
+                U, V, c, emb[a_idx], emb[b_idx])))
             pair[a_idx, b_idx] = probs
         spoes_pred = decode_pairs(pair, subjects, end_list)
         return format_spoes(ex["context"], ex["tok_start"], ex["tok_end"],
                             spoes_pred)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import json
-
-        out = {k: [] for k in ("conv_id", "turn_idx", "head", "predicate",
-                               "subject", "subject_type", "object_json",
-                               "object_type_json", "object_value")}
-        for cid, tix, text in zip(
-            batch["conv_id"].to_pylist(),
-            batch["turn_idx"].to_pylist(),
-            batch["text"].to_pylist(),
-        ):
-            ex = self.head.preprocess(text)
-            for spo in self._spo_list(ex):
-                out["conv_id"].append(cid)
-                out["turn_idx"].append(tix)
-                out["head"].append("biaffine-trained")
-                out["predicate"].append(spo["predicate"])
-                out["subject"].append(spo["subject"])
-                out["subject_type"].append(spo["subject_type"])
-                out["object_json"].append(json.dumps(
-                    spo["object"], ensure_ascii=False, sort_keys=True))
-                out["object_type_json"].append(json.dumps(
-                    spo["object_type"], ensure_ascii=False, sort_keys=True))
-                out["object_value"].append(spo["object"].get("@value", ""))
-        return pa.Table.from_pydict(
-            {
-                "conv_id": pa.array(out["conv_id"], pa.string()),
-                "turn_idx": pa.array(out["turn_idx"], pa.int32()),
-                "head": pa.array(out["head"], pa.string()),
-                "predicate": pa.array(out["predicate"], pa.string()),
-                "subject": pa.array(out["subject"], pa.string()),
-                "subject_type": pa.array(out["subject_type"], pa.string()),
-                "object_json": pa.array(out["object_json"], pa.string()),
-                "object_type_json": pa.array(out["object_type_json"],
-                                             pa.string()),
-                "object_value": pa.array(out["object_value"], pa.string()),
-            }
-        )
-
 
 def extract_triples_trained_biaffine(transcripts_ds, weights_ref,
                                      concurrency=None, batch_size: int = 128):
-    if concurrency is None:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-        concurrency = max(2, cpus // 2)
-    names = transcripts_ds.schema().names
-    needed = ["conv_id", "turn_idx", "text"]
-    if set(needed) < set(names):
-        transcripts_ds = transcripts_ds.select_columns(needed)
-    return transcripts_ds.map_batches(
-        TrainedBiaffineExtractor,
-        fn_constructor_kwargs={"weights_ref": weights_ref},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
-
-
-def extract_triples_trained_mhs(transcripts_ds, weights_ref,
-                                concurrency=None, batch_size: int = 128):
-    if concurrency is None:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-        concurrency = max(2, cpus // 2)
-    names = transcripts_ds.schema().names
-    needed = ["conv_id", "turn_idx", "text"]
-    if set(needed) < set(names):
-        transcripts_ds = transcripts_ds.select_columns(needed)
-    return transcripts_ds.map_batches(
-        TrainedMhsExtractor,
-        fn_constructor_kwargs={"weights_ref": weights_ref},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+    return map_turns(transcripts_ds, TrainedBiaffineExtractor, batch_size,
+                     concurrency, kwargs={"weights_ref": weights_ref})
