@@ -8,19 +8,26 @@ frames instead, and the UDF runs a *vectorized* ``df.groupby(key)`` over
 thousands of keys at once.
 
 It materializes its input once and reads the rows and bytes from the block
-metadata; the two plans then differ only in how rows reach ``fn``:
+metadata; ``merge_plan`` turns them into a plan (the one size gate, which
+``joins.shuffle_join`` uses too), and the two plans differ only in where
+``fn`` runs:
 
 - ``single``: at or below ``SINGLE_BLOCK_MAX_ROWS`` rows and
-  ``SINGLE_BLOCK_MAX_BYTES`` bytes, the input is collected into one block
-  (through the driver, so the byte limit also bounds driver memory) and
-  ``fn`` runs once over all of it in one task.  Most merges here see such
-  inputs, because the map-side combiners already shrink corpus-sized
-  inputs to key-sized partials, and a sort all-to-all costs about a second
-  of fixed coordination however small its input is.
+  ``SINGLE_BLOCK_MAX_BYTES`` bytes, the input is collected through the
+  driver and ``fn`` runs once over all of it on the driver; the output is
+  a materialized dataset (``from_pandas``), so no further Ray Data
+  execution runs and a downstream ``materialize()`` is free.  Driver
+  memory holds the input (which the byte limit bounds) and ``fn``'s
+  output.  Most merges here see such inputs, because the map-side
+  combiners already shrink corpus-sized inputs to key-sized partials,
+  while a sort all-to-all costs about a second of fixed coordination and
+  even a one-task job costs tens of milliseconds, however small its input
+  is.
 - ``distributed``: above either limit, rows are shuffled on
   ``hash(key) % n_buckets`` with ``n_buckets`` = 2 × the cluster's CPUs,
-  and ``fn`` runs once per bucket.  Every row of a key lands in exactly
-  one bucket, since the hash is a pure function of the key columns.
+  and ``fn`` runs once per bucket (``hash_bucket_apply``).  Every row of a
+  key lands in exactly one bucket, since the hash is a pure function of
+  the key columns.
 
 Either way the output is the concatenation of ``fn``'s frames — the same
 rows as per-group ``map_groups``, in no guaranteed order.  Each call logs
@@ -41,6 +48,7 @@ import logging
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 logger = logging.getLogger(__name__)
 
@@ -93,42 +101,29 @@ def _coerce_empty(empty_result) -> pd.DataFrame | None:
     return empty_result.iloc[0:0]
 
 
-def bucketed_group_apply(ds, keys, fn, empty_result=None):
-    """``fn(df) -> DataFrame`` over frames that each hold whole groups of
-    ``keys``, merged by the plan the input's size selects (module
-    docstring).
+def _collect(ds) -> pd.DataFrame:
+    """A materialized dataset as one pandas frame.  ``to_pandas`` also
+    merges a mix of Arrow and pandas blocks (a union of pyarrow and pandas
+    map outputs), but drops every column of a zero-row result; the columns
+    then come from the schema."""
+    df = ds.to_pandas()
+    sch = None if len(df.columns) else ds.schema()
+    if sch is None:
+        return df
+    if isinstance(sch.base_schema, pa.Schema):
+        return sch.base_schema.empty_table().to_pandas()
+    return empty_frame(dict(zip(sch.names, sch.base_schema.types)))
 
-    ``fn`` sees all rows of many whole groups at once and must itself group
-    by ``keys`` (vectorized ``df.groupby``) — it is never handed a partial
-    group.
 
-    ``empty_result``: optional OUTPUT-schema hint (``{col: dtype}`` spec or
-    a zero-row frame).  Degenerate zero-row inputs then yield a typed empty
-    frame instead of a schema-less ``pd.DataFrame()``, keeping every block
-    of the stage schema-identical (no per-op guards needed downstream).
-    Without the hint, a zero-row frame that still carries the key columns
-    is probed through ``fn`` (vectorized groupby UDFs return typed empties
-    naturally); only a schema-less zero-row input with no hint falls back
-    to the schema-less empty.
-
-    Sentinel rows (distributed plan): when the distinct-key count is SMALL
-    (a handful of cluster ids, a tiny test fixture), Ray's sort shuffle
-    produces empty partitions (more range boundaries than distinct
-    ``__bucket`` values), and empty partitions bypass the UDF and surface
-    as schema-less bundles (the ``RefBundle with a different schema``
-    warnings — and, at scale, schema-divergent empty blocks in downstream
-    unions/writes).  So one sentinel row per bucket id is appended to every
-    non-empty input block (the block's own first row, ``__bucket``
-    overwritten — dtypes exactly preserved, ``n_buckets`` extra rows per
-    block) and every bucket value is always populated; sentinels are
-    dropped before ``fn`` runs.
-    """
+def merge_plan(keys: list[str], *inputs) -> tuple[str, int]:
+    """The size gate: ``(plan, n_buckets)`` for a merge of the materialized
+    ``inputs`` (rows and bytes summed over them, read from the block
+    metadata), as the module docstring states it.  Logs the call's one
+    plan record."""
     import ray
 
-    keys = [keys] if isinstance(keys, str) else list(keys)
-    empty_out = _coerce_empty(empty_result)
-    ds = ds.materialize()
-    rows, nbytes = ds.count(), ds.size_bytes()
+    rows = sum(d.count() for d in inputs)
+    nbytes = sum(d.size_bytes() for d in inputs)
     if rows <= SINGLE_BLOCK_MAX_ROWS and nbytes <= SINGLE_BLOCK_MAX_BYTES:
         plan, n_buckets = "single", 1
     else:
@@ -136,29 +131,26 @@ def bucketed_group_apply(ds, keys, fn, empty_result=None):
         n_buckets = 2 * max(1, int(ray.cluster_resources().get("CPU", 1)))
     stats = {"keys": keys, "plan": plan, "rows": rows, "bytes": nbytes,
              "n_buckets": n_buckets}
-    logger.info("bucketed_group_apply: keys=%s plan=%s rows=%d bytes=%d "
-                "n_buckets=%d", keys, plan, rows, nbytes, n_buckets,
-                extra={"stats": stats})
+    logger.info("merge plan: keys=%s plan=%s rows=%d bytes=%d n_buckets=%d",
+                keys, plan, rows, nbytes, n_buckets, extra={"stats": stats})
+    return plan, n_buckets
 
-    def apply(df: pd.DataFrame) -> pd.DataFrame:
-        if "__sentinel" in df.columns:
-            df = df[~df["__sentinel"]].drop(columns=["__sentinel", "__bucket"])
-        if len(df) == 0:
-            if empty_out is not None:
-                return empty_out.copy()
-            if not all(k in df.columns for k in keys):
-                # schema-less zero-row frame and no hint: emit nothing (fn
-                # would not know this schema either)
-                return pd.DataFrame()
-        return fn(df)
 
-    if plan == "single":
-        # one block through the driver: ``to_pandas`` also merges a mix of
-        # Arrow and pandas blocks (a union of pyarrow and pandas map
-        # outputs), which ``repartition(1)`` rejects
-        return ray.data.from_pandas(ds.to_pandas()).map_batches(
-            apply, batch_format="pandas", batch_size=None
-        )
+def hash_bucket_apply(ds, keys: list[str], fn, n_buckets: int):
+    """The distributed plan: ``fn`` once per ``hash(keys) % n_buckets``
+    bucket, after one sort shuffle on the bucket id.
+
+    Sentinel rows: when the distinct-key count is SMALL (a handful of
+    cluster ids, a tiny test fixture), Ray's sort shuffle produces empty
+    partitions (more range boundaries than distinct ``__bucket`` values),
+    and empty partitions bypass the UDF and surface as schema-less bundles
+    (the ``RefBundle with a different schema`` warnings — and, at scale,
+    schema-divergent empty blocks in downstream unions/writes).  So one
+    sentinel row per bucket id is appended to every non-empty input block
+    (the block's own first row, ``__bucket`` overwritten — dtypes exactly
+    preserved, ``n_buckets`` extra rows per block) and every bucket value
+    is always populated; sentinels are dropped before ``fn`` runs.
+    """
 
     def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
@@ -176,11 +168,56 @@ def bucketed_group_apply(ds, keys, fn, empty_result=None):
             df = pd.concat([df, sent], ignore_index=True)
         return df
 
+    def apply(df: pd.DataFrame) -> pd.DataFrame:
+        if "__sentinel" in df.columns:
+            df = df[~df["__sentinel"]].drop(columns=["__sentinel", "__bucket"])
+        return fn(df)
+
     return (
         ds.map_batches(add_bucket, batch_format="pandas")
         .groupby("__bucket")
         .map_groups(apply, batch_format="pandas")
     )
+
+
+def bucketed_group_apply(ds, keys, fn, empty_result=None):
+    """``fn(df) -> DataFrame`` over frames that each hold whole groups of
+    ``keys``, merged by the plan the input's size selects (module
+    docstring).
+
+    ``fn`` sees all rows of many whole groups at once and must itself group
+    by ``keys`` (vectorized ``df.groupby``) — it is never handed a partial
+    group.
+
+    ``empty_result``: optional OUTPUT-schema hint (``{col: dtype}`` spec or
+    a zero-row frame).  Degenerate zero-row inputs then yield a typed empty
+    frame instead of a schema-less ``pd.DataFrame()``, keeping every block
+    of the stage schema-identical (no per-op guards needed downstream).
+    Without the hint, a zero-row frame that still carries the key columns
+    is probed through ``fn`` (vectorized groupby UDFs return typed empties
+    naturally); only a schema-less zero-row input with no hint falls back
+    to the schema-less empty.
+    """
+    import ray
+
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    empty_out = _coerce_empty(empty_result)
+    ds = ds.materialize()
+    plan, n_buckets = merge_plan(keys, ds)
+
+    def apply(df: pd.DataFrame) -> pd.DataFrame:
+        if len(df) == 0:
+            if empty_out is not None:
+                return empty_out.copy()
+            if not all(k in df.columns for k in keys):
+                # schema-less zero-row frame and no hint: emit nothing (fn
+                # would not know this schema either)
+                return pd.DataFrame()
+        return fn(df)
+
+    if plan == "single":
+        return ray.data.from_pandas(apply(_collect(ds)))
+    return hash_bucket_apply(ds, keys, apply, n_buckets)
 
 
 # how a per-batch partial of each aggregate merges across batches: a count

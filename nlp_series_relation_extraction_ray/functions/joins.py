@@ -6,11 +6,19 @@ Two physical strategies, chosen by side size:
 - ``broadcast_join``: the small side is ``ray.put`` once as a hash map and
   probed inside ``map_batches`` — a map-side hash join, zero shuffle.  Use
   whenever one side fits comfortably in a worker heap (dimension tables).
-- ``shuffle_join``: both sides tagged and unioned, then one
-  ``groupby(key)`` co-locates matching keys and ``map_groups`` emits the
-  join — a single all-to-all exchange, the general path for two large
-  tables.  Skewed keys hurt here exactly like any shuffle; pre-filter and
-  pre-project before calling.
+- ``shuffle_join``: each projected side is materialized once, and the
+  shuffle fabric's size gate (``grouping.merge_plan``, one plan record per
+  call) picks where the join runs.  When both sides together fit the
+  single-block limits, they are collected through the driver and joined
+  there by one pandas merge: no union and no further Ray Data execution.
+  Above the limits both sides are tagged and unioned, one hash-bucket
+  shuffle co-locates matching keys, and each bucket runs the same merge —
+  the general path for two large tables.  Skewed keys hurt the shuffle
+  exactly like any other; pre-filter and pre-project before calling.
+  Either way a non-key column that only one side has comes out
+  NaN-compatible (int→float64, bool→object), as the union's null-fill
+  requires.  On the driver plan, driver memory holds both sides and the
+  joined output.
 """
 
 from __future__ import annotations
@@ -64,19 +72,27 @@ def broadcast_join(
 
 
 def shuffle_join(left_ds, right_ds, on, l_cols=None, r_cols=None):
-    """Distributed hash join via union + groupby(key) co-location.
+    """Inner hash join of two Datasets on ``on``, planned by the shuffle
+    fabric's size gate (``grouping.merge_plan``).
 
-    Projects each side first (never shuffle unused columns), unions with a
-    side tag, then one groupby moves each key to one reducer where the
-    in-group cartesian join runs.  ``on`` may be one column or a list
-    (composite keys — e.g. the (key, salt) pair of
+    Projects each side first (never move unused columns) and materializes
+    it once, so its schema and size come from the block metadata and no
+    upstream runs twice.  Small sides are joined on the driver; larger ones
+    are unioned with a side tag and hash-bucketed on the key, and each
+    bucket joins every key in it at once.  ``on`` may be one column or a
+    list (composite keys — e.g. the (key, salt) pair of
     :func:`salted_shuffle_join`).
     """
+    import ray
+
+    from .grouping import hash_bucket_apply, merge_plan
+
     on = [on] if isinstance(on, str) else list(on)
     if l_cols is not None:
         left_ds = left_ds.select_columns(list(dict.fromkeys(on + l_cols)))
     if r_cols is not None:
         right_ds = right_ds.select_columns(list(dict.fromkeys(on + r_cols)))
+    left_ds, right_ds = left_ds.materialize(), right_ds.materialize()
     # union() unifies schemas (null-filling the other side's columns), so
     # remember each side's real column set to re-project inside the group
     l_names = list(left_ds.schema().names)
@@ -90,7 +106,8 @@ def shuffle_join(left_ds, right_ds, on, l_cols=None, r_cols=None):
     # NaN-compatible dtype on BOTH sides — makes every union block
     # schema-identical.  Join keys exist on both sides, so key dtypes are
     # never promoted; non-key promotions (int→float64, exact below 2^53)
-    # match what the in-bucket pandas concat did implicitly anyway.
+    # match what the in-bucket pandas concat did implicitly anyway.  The
+    # driver plan applies the same casts, so both plans give equal frames.
     all_names = list(dict.fromkeys(l_names + r_names))
     l_types = _pandas_dtypes(left_ds)
     r_types = _pandas_dtypes(right_ds)
@@ -115,37 +132,37 @@ def shuffle_join(left_ds, right_ds, on, l_cols=None, r_cols=None):
         else:
             target[c] = _null_ok(l_types.get(c) or r_types[c])
 
+    def cast(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.reindex(columns=all_names)
+        casts = {c: t for c, t in target.items() if df[c].dtype != t}
+        return df.astype(casts) if casts else df
+
     def tag(side: str):
         def fn(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.reindex(columns=all_names)
-            casts = {
-                c: t for c, t in target.items() if df[c].dtype != t
-            }
-            if casts:
-                df = df.astype(casts)
-            df["__side"] = side
-            return df
+            return cast(df).assign(__side=side)
 
         return fn
 
+    def join(l: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
+        # one vectorized pandas merge joins EVERY key at once (merge handles
+        # the per-key cartesian); a per-group merge would pay frame
+        # construction per distinct key.  Merge on empty sides still yields
+        # the full joined column set, so downstream stages always see a
+        # stable schema
+        return l.reindex(columns=l_names).merge(
+            r.reindex(columns=r_names), on=on)
+
+    def join_bucket(df: pd.DataFrame) -> pd.DataFrame:
+        return join(df[df["__side"] == "l"], df[df["__side"] == "r"])
+
+    plan, n_buckets = merge_plan(on, left_ds, right_ds)
+    if plan == "single":
+        return ray.data.from_pandas(
+            join(cast(left_ds.to_pandas()), cast(right_ds.to_pandas())))
     tagged = left_ds.map_batches(tag("l"), batch_format="pandas").union(
         right_ds.map_batches(tag("r"), batch_format="pandas")
     )
-
-    def join_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        # one vectorized pandas merge per hash bucket joins EVERY key in
-        # the bucket at once (merge handles the per-key cartesian); a
-        # per-group merge would pay frame construction per distinct key
-        # reindex: a bucket block may carry only one side's physical schema
-        l = df[df["__side"] == "l"].reindex(columns=l_names)
-        r = df[df["__side"] == "r"].reindex(columns=r_names)
-        # merge on empty sides still yields the full joined column set, so
-        # downstream stages always see a stable schema
-        return l.merge(r, on=on)
-
-    from .grouping import bucketed_group_apply
-
-    return bucketed_group_apply(tagged, on, join_bucket)
+    return hash_bucket_apply(tagged, on, join_bucket, n_buckets)
 
 
 def cents(x: np.ndarray | pd.Series) -> np.ndarray:

@@ -97,6 +97,14 @@ def worker_cached(kind, builder, version=None):
 TURN_COLUMNS = ["conv_id", "turn_idx", "text"]
 
 
+def actor_pool_size(cpus: int) -> int:
+    """Default number of one-CPU extraction actors on ``cpus`` cluster
+    CPUs: half of them, but always leaving one CPU for the upstream read
+    tasks (a pool that takes every CPU starves the read feeding it, and
+    the stage never finishes), and at least one actor."""
+    return max(1, min(cpus // 2, cpus - 1))
+
+
 def map_turns(transcripts_ds, fn, batch_size: int, concurrency=None,
               kwargs=None):
     """The one extraction ``map_batches``: Arrow batches of the turn
@@ -104,13 +112,16 @@ def map_turns(transcripts_ds, fn, batch_size: int, concurrency=None,
 
     Only ``TURN_COLUMNS`` are kept, so role/tool/ts are dropped before they
     ship through the object store (when reading Parquet, pair this with
-    ``read_parquet(columns=...)``).  A function ``fn`` runs as tasks with
-    ``kwargs`` as its keyword arguments.  A class ``fn`` runs as an actor
-    pool, one CPU per actor, built with ``kwargs``; ``concurrency``
-    defaults to half the cluster's CPUs, at least 2.
+    ``read_parquet(columns=...)``).  The input's schema is read only if it
+    is known without running the input; a lazy input is pruned
+    unconditionally, which the extraction UDFs allow since they read every
+    turn column.  A function ``fn`` runs as tasks with ``kwargs`` as its
+    keyword arguments.  A class ``fn`` runs as an actor pool, one CPU per
+    actor, built with ``kwargs``; ``concurrency`` defaults to
+    :func:`actor_pool_size` of the cluster's CPUs.
     """
-    names = transcripts_ds.schema().names
-    if set(TURN_COLUMNS) < set(names):
+    schema = transcripts_ds.schema(fetch_if_missing=False)
+    if schema is None or set(TURN_COLUMNS) < set(schema.names):
         transcripts_ds = transcripts_ds.select_columns(TURN_COLUMNS)
     if not isinstance(fn, type):
         return transcripts_ds.map_batches(
@@ -119,8 +130,8 @@ def map_turns(transcripts_ds, fn, batch_size: int, concurrency=None,
     if concurrency is None:
         import ray
 
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-        concurrency = max(2, cpus // 2)
+        concurrency = actor_pool_size(
+            int(ray.cluster_resources().get("CPU", 4)))
     return transcripts_ds.map_batches(
         fn, fn_constructor_kwargs=kwargs, batch_format="pyarrow",
         batch_size=batch_size, concurrency=concurrency, num_cpus=1)

@@ -1,5 +1,6 @@
-"""bucketed_group_apply (the grouped merge and its plan gate) and
-two_phase_agg (the declarative combiner + merge on top of it).
+"""bucketed_group_apply (the grouped merge and its plan gate),
+two_phase_agg (the declarative combiner + merge on top of it) and
+shuffle_join (the join the same gate plans).
 
 The inputs here are small, so the default limits pick the single-block
 plan; ``_force_distributed`` sets the row limit to 0 so the same cases
@@ -235,6 +236,132 @@ def test_plan_record(ray_session, caplog, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(grouping, "SINGLE_BLOCK_MAX_BYTES", nbytes - 1)
         assert run()["plan"] == "distributed"
+
+
+def _dtypes(ds) -> dict[str, str]:
+    sch = ds.schema()
+    return dict(zip(sch.names, map(str, sch.base_schema.types)))
+
+
+def test_single_plan_is_materialized_with_typed_empties(ray_session):
+    """The single plan runs the merge on the driver and returns a
+    materialized dataset; zero-row inputs keep a typed schema, from the
+    ``empty_result`` hint or from the merge itself."""
+    import ray
+    from ray.data.dataset import MaterializedDataset
+
+    from nlp_series_relation_extraction_ray.functions.grouping import (
+        bucketed_group_apply,
+        two_phase_agg,
+    )
+
+    def sums(df):
+        return df.groupby("k", as_index=False)["v"].sum()
+
+    ds = ray.data.from_pandas(_frame()).repartition(3)
+    out = bucketed_group_apply(ds, "k", sums)
+    assert isinstance(out, MaterializedDataset)
+    assert out.to_pandas()["v"].sum() == _frame()["v"].sum()
+
+    hint = {"k": "int64", "n": "int32", "label": "object"}
+    empty = bucketed_group_apply(ray.data.from_pandas(_frame().iloc[0:0]),
+                                 "k", sums, empty_result=hint)
+    assert isinstance(empty, MaterializedDataset)
+    assert empty.count() == 0
+    # to_pandas() of zero rows drops the columns, so read the schema
+    assert _dtypes(empty) == hint
+
+    none = two_phase_agg(ds, "k", _AGGS, prep=lambda df: df[df["v"] > 10**6])
+    assert isinstance(none, MaterializedDataset)
+    assert none.count() == 0
+    assert _dtypes(none) == dict.fromkeys(["k", *_AGGS], "int64")
+
+
+def _counted(path):
+    """Identity pandas UDF that appends one byte to ``path`` per call (the
+    calls run in worker processes, so a file is the shared counter)."""
+    def fn(df: pd.DataFrame) -> pd.DataFrame:
+        with open(path, "a") as f:
+            f.write(".")
+        return df
+
+    return fn
+
+
+@pytest.mark.parametrize("default_plan", [False, True])
+def test_shuffle_join_runs_each_side_once(ray_session, monkeypatch, caplog,
+                                          tmp_path, default_plan):
+    """Each side's upstream UDF runs once per input block under both
+    plans: no schema probe and no second pass over a side.  The join logs
+    one plan record, and the forced row limit forces the shuffle."""
+    import ray
+
+    _set_plan(monkeypatch, default_plan)
+
+    from nlp_series_relation_extraction_ray.functions.joins import (
+        shuffle_join,
+    )
+
+    left = pd.DataFrame({"k": np.arange(30) % 10, "lv": np.arange(30)})
+    right = pd.DataFrame({"k": np.arange(8), "rv": np.arange(8) * 10})
+    lds = ray.data.from_pandas(
+        [left.iloc[i:i + 10] for i in range(0, 30, 10)]
+    ).map_batches(_counted(tmp_path / "l"), batch_format="pandas",
+                  batch_size=None)
+    rds = ray.data.from_pandas([right.iloc[:4], right.iloc[4:]]).map_batches(
+        _counted(tmp_path / "r"), batch_format="pandas", batch_size=None)
+    with caplog.at_level(
+            logging.INFO,
+            logger="nlp_series_relation_extraction_ray.functions.grouping"):
+        out = shuffle_join(lds, rds, on="k").to_pandas()
+    assert len(out) == len(left.merge(right, on="k")) == 24
+    assert (tmp_path / "l").read_text() == "..."
+    assert (tmp_path / "r").read_text() == ".."
+    assert _plan_stats(caplog)["plan"] == (
+        "single" if default_plan else "distributed")
+
+
+@pytest.mark.parametrize("on", ["k", "s", ["k", "s"]],
+                         ids=["int", "string", "composite"])
+def test_shuffle_join_plans_give_identical_frames(ray_session, monkeypatch,
+                                                  on):
+    """The driver join and the hash-bucket join return the same rows with
+    the same dtypes, including the NaN-compatible promotion of one-side
+    int and bool columns (int→float64, bool→object)."""
+    import ray
+
+    from nlp_series_relation_extraction_ray.functions import grouping
+    from nlp_series_relation_extraction_ray.functions.joins import (
+        shuffle_join,
+    )
+
+    n = 120
+    left = pd.DataFrame({
+        "k": (np.arange(n) % 13).astype("int64"),
+        "s": [f"s{i % 5}" for i in range(n)],
+        "lv": np.arange(n, dtype="int64"),
+        "flag": np.arange(n) % 3 == 0,
+    })
+    right = pd.DataFrame({
+        "k": (np.arange(40) % 17).astype("int64"),
+        "s": [f"s{i % 4}" for i in range(40)],
+        "rv": np.arange(40, dtype="float64") / 4,
+    })
+
+    def run():
+        lds = ray.data.from_pandas([left.iloc[:60], left.iloc[60:]])
+        rds = ray.data.from_pandas(right)
+        out = shuffle_join(lds, rds, on=on).to_pandas()
+        return out.sort_values(["lv", "rv"]).reset_index(drop=True)
+
+    driver = run()
+    with monkeypatch.context() as m:
+        m.setattr(grouping, "SINGLE_BLOCK_MAX_ROWS", 0)
+        shuffled = run()
+    assert len(driver) > 0
+    assert driver["lv"].dtype == np.float64
+    assert driver["flag"].dtype == object
+    pd.testing.assert_frame_equal(driver, shuffled)
 
 
 def test_text_tokens_counts_and_document_frequency():

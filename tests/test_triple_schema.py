@@ -93,3 +93,28 @@ def test_extraction_path_emits_triple_schema(weight_refs, label, weights,
         base._WORKER_CACHE.pop("trained_weights", None)
     assert out.num_rows == 0
     assert out.schema == TRIPLE_SCHEMA
+
+
+@pytest.mark.parametrize("cpus,actors", [(1, 1), (2, 1), (4, 2), (32, 16)])
+def test_actor_pool_leaves_a_cpu_for_the_read(cpus, actors):
+    """The default pool never takes every CPU of a multi-CPU cluster: the
+    upstream read needs one, or the stage never finishes."""
+    assert base.actor_pool_size(cpus) == actors
+
+
+def test_map_turns_plans_without_running_its_input(ray_session, tmp_path):
+    """Building the stage over a lazy input runs no part of the input (no
+    schema probe); the input runs once, when the output is consumed."""
+    calls = tmp_path / "calls"
+
+    def counted(batch):
+        with open(calls, "a") as f:
+            f.write(".")
+        return batch
+
+    src = transcripts_dataset(N_CONVS).map_batches(
+        counted, batch_format="pyarrow", batch_size=None)
+    out = ext.extract_triples(src, head="baseline")
+    assert not calls.exists()
+    assert out.to_arrow_refs()
+    assert calls.exists()
