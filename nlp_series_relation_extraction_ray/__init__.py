@@ -9,63 +9,3 @@ analysis) a 100 TB corpus pipeline needs.
 """
 
 __version__ = "0.1.0"
-
-
-def _install_empty_shuffle_schema_filter() -> None:
-    """Drop Ray's cosmetic empty-partition schema warning, and ONLY it.
-
-    A sort/groupby all-to-all emits an EMPTY partition whenever its sampled
-    range boundaries collide (few distinct keys, or volume skew) — the
-    empty block bypasses every map UDF, so it carries no schema, and the
-    streaming executor logs ``Operator produced a RefBundle with a
-    different schema ... new schema: <empty>`` once per operator.  Ray
-    itself then re-stamps the bundle with the running schema
-    (``streaming_executor_state.py::dedupe_schemas_with_validation``
-    returns ``RefBundle(..., schema=old_schema)``), so downstream unions
-    and writes see ONE schema and the warning is purely cosmetic.
-
-    Every schema divergence this repo's own UDFs could cause is fixed at
-    the source instead (typed empties via ``functions.grouping``,
-    metadata-free reads/conversions via ``sources.readers``); this filter
-    matches ONLY the empty-new-schema form, so a REAL divergence — two
-    non-empty, differing schemas — still warns.
-    """
-    import logging
-
-    class _EmptyShuffleSchemaFilter(logging.Filter):
-        def filter(self, record: logging.LogRecord) -> bool:
-            msg = record.getMessage()
-            if "RefBundle with a different schema" not in msg:
-                return True
-            return not (
-                "new schema: . " in msg
-                or "new schema: PandasBlockSchema(names=[], types=[])" in msg
-            )
-
-    logging.getLogger(
-        "ray.data._internal.execution.streaming_executor_state"
-    ).addFilter(_EmptyShuffleSchemaFilter())
-
-    class _EmptyBlockSizeSampleFilter(logging.Filter):
-        """Drop Ray's block-size-sampler warning for EMPTY object columns,
-        and only it: ``PandasBlockAccessor.size_bytes`` samples object
-        columns through ``np.vectorize``, which raises on size-0 input
-        (``cannot call `vectorize` on size 0 inputs``) — an empty column
-        weighs nothing, the sampler's fallback is correct, and typed empty
-        frames are exactly what ``functions.grouping`` emits on purpose to
-        keep shuffle schemas stable.  A real size-estimation failure on a
-        non-empty column still warns."""
-
-        def filter(self, record: logging.LogRecord) -> bool:
-            msg = record.getMessage()
-            return not (
-                "Error calculating size for column" in msg
-                and "size 0 inputs" in msg
-            )
-
-    logging.getLogger("ray.data._internal.pandas_block").addFilter(
-        _EmptyBlockSizeSampleFilter()
-    )
-
-
-_install_empty_shuffle_schema_filter()

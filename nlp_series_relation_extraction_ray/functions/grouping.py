@@ -20,19 +20,21 @@ metadata; ``merge_plan`` turns them into a plan (the one size gate, which
   memory holds the input (which the byte limit bounds) and ``fn``'s
   output.  Most merges here see such inputs, because the map-side
   combiners already shrink corpus-sized inputs to key-sized partials,
-  while a sort all-to-all costs about a second of fixed coordination and
-  even a one-task job costs tens of milliseconds, however small its input
-  is.
-- ``distributed``: above either limit, rows are shuffled on
-  ``hash(key) % n_buckets`` with ``n_buckets`` = 2 × the cluster's CPUs,
-  and ``fn`` runs once per bucket (``hash_bucket_apply``).  Every row of a
-  key lands in exactly one bucket, since the hash is a pure function of
-  the key columns.
+  while even a one-task job costs tens of milliseconds, however small its
+  input is.
+- ``distributed``: above either limit, ``hash_bucket_apply`` runs two
+  rounds of plain Ray tasks over ``hash(key) % n_buckets`` with
+  ``n_buckets`` = 2 × the cluster's CPUs: one split task per input block
+  cuts it into bucket parts, and one reduce task per non-empty bucket
+  concatenates its parts and runs ``fn``; an empty bucket runs nothing.
+  Every row of a key lands in exactly one bucket, since the hash is a
+  pure function of the key columns.
 
 Either way the output is the concatenation of ``fn``'s frames — the same
 rows as per-group ``map_groups``, in no guaranteed order.  Each call logs
 one INFO record whose ``stats`` attribute holds the keys, the plan, the
-input rows and bytes and the bucket count.
+input rows and bytes and the bucket count; the distributed plan logs a
+second one with the rows each bucket received (the measured skew).
 
 The hash is ``pandas.util.hash_pandas_object`` (fixed internal key —
 deterministic across processes and machines, vectorized over the column).
@@ -136,48 +138,52 @@ def merge_plan(keys: list[str], *inputs) -> tuple[str, int]:
     return plan, n_buckets
 
 
+def _split(block, keys: list[str], n_buckets: int):
+    """A block's per-bucket row counts, then its ``n_buckets`` parts."""
+    from ray.data.block import BlockAccessor
+
+    df = BlockAccessor.for_block(block).to_pandas()
+    bucket = _bucket_of(df, keys, n_buckets)
+    counts = np.bincount(bucket, minlength=n_buckets)
+    df = df.iloc[np.argsort(bucket, kind="stable")]
+    ends = np.cumsum(counts)
+    return (counts, *(df.iloc[e - c:e] for c, e in zip(counts, ends)))
+
+
+def _reduce(fn, *parts: pd.DataFrame):
+    """``fn`` over one bucket's parts, and the row count of its output."""
+    out = fn(pd.concat(parts, ignore_index=True))
+    return out, len(out)
+
+
 def hash_bucket_apply(ds, keys: list[str], fn, n_buckets: int):
-    """The distributed plan: ``fn`` once per ``hash(keys) % n_buckets``
-    bucket, after one sort shuffle on the bucket id.
+    """The distributed plan: one split task per non-empty block of ``ds``
+    cuts it into ``hash(keys) % n_buckets`` parts, then one reduce task per
+    non-empty bucket concatenates its non-empty parts and runs ``fn``.
 
-    Sentinel rows: when the distinct-key count is SMALL (a handful of
-    cluster ids, a tiny test fixture), Ray's sort shuffle produces empty
-    partitions (more range boundaries than distinct ``__bucket`` values),
-    and empty partitions bypass the UDF and surface as schema-less bundles
-    (the ``RefBundle with a different schema`` warnings — and, at scale,
-    schema-divergent empty blocks in downstream unions/writes).  So one
-    sentinel row per bucket id is appended to every non-empty input block
-    (the block's own first row, ``__bucket`` overwritten — dtypes exactly
-    preserved, ``n_buckets`` extra rows per block) and every bucket value
-    is always populated; sentinels are dropped before ``fn`` runs.
+    No sort, no sample and no actor.  ``fn`` never sees an empty frame; an
+    empty output of ``fn`` is dropped unless every output is empty (one
+    then carries the schema).  ``ds`` must hold at least one row.  Logs one
+    record of the rows each bucket received (the measured skew).
     """
+    import ray
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        if len(df) == 0 and not all(k in df.columns for k in keys):
-            # degenerate empty block (e.g. schema-less artifact): it holds
-            # no rows, so it contributes nothing — canonical minimal schema
-            return pd.DataFrame({"__bucket": pd.Series([], dtype="int32"),
-                                 "__sentinel": pd.Series([], dtype="bool")})
-        df["__bucket"] = _bucket_of(df, keys, n_buckets)
-        df["__sentinel"] = False
-        if len(df) > 0:
-            sent = df.iloc[np.zeros(n_buckets, dtype=np.int64)].copy()
-            sent["__bucket"] = np.arange(n_buckets, dtype=np.int32)
-            sent["__sentinel"] = True
-            df = pd.concat([df, sent], ignore_index=True)
-        return df
-
-    def apply(df: pd.DataFrame) -> pd.DataFrame:
-        if "__sentinel" in df.columns:
-            df = df[~df["__sentinel"]].drop(columns=["__sentinel", "__bucket"])
-        return fn(df)
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(apply, batch_format="pandas")
-    )
+    split = ray.remote(_split).options(num_returns=n_buckets + 1)
+    splits = [split.remote(block, keys, n_buckets)
+              for bundle in ds.iter_internal_ref_bundles()
+              for block, meta in bundle.blocks if meta.num_rows != 0]
+    counts = np.array(ray.get([s[0] for s in splits]))
+    bucket_rows = counts.sum(axis=0).tolist()
+    stats = {"keys": keys, "n_buckets": n_buckets, "bucket_rows": bucket_rows}
+    logger.info("bucket rows: keys=%s n_buckets=%d bucket_rows=%s",
+                keys, n_buckets, bucket_rows, extra={"stats": stats})
+    reduce = ray.remote(_reduce).options(num_returns=2)
+    outs = [reduce.remote(fn, *(s[1 + b] for s, c in zip(splits, counts)
+                                if c[b]))
+            for b in np.flatnonzero(bucket_rows)]
+    out_rows = ray.get([n for _, n in outs])
+    return ray.data.from_pandas_refs(
+        [df for (df, _), n in zip(outs, out_rows) if n] or [outs[0][0]])
 
 
 def bucketed_group_apply(ds, keys, fn, empty_result=None):

@@ -566,9 +566,6 @@ def semantic_dedup_keep(
             }
         )
 
-    # cluster cardinality is a small parameter (n_clusters), but the
-    # sentinel rows keep Ray's sort shuffle from making empty partitions
-    # that surface as schema-less bundles
     return bucketed_group_apply(
         assigned, "cluster", dedup_cells,
         empty_result={"vec_id": "int64", "cluster": "int64",

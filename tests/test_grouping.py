@@ -10,6 +10,7 @@ import logging
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 
@@ -199,11 +200,17 @@ def test_two_phase_agg_rejects_unknown_aggregate(ray_session):
                       {"m": ("v", "median")})
 
 
+def _grouping_stats(caplog, kind: str) -> list[dict]:
+    """The ``stats`` of the grouping records of one kind: ``"plan"`` (one
+    per merge or join) or ``"bucket_rows"`` (one per distributed call)."""
+    return [r.stats for r in caplog.records if hasattr(r, "stats")
+            and r.name.endswith("functions.grouping") and kind in r.stats]
+
+
 def _plan_stats(caplog):
-    recs = [r for r in caplog.records if hasattr(r, "stats")
-            and r.name.endswith("functions.grouping")]
+    recs = _grouping_stats(caplog, "plan")
     assert len(recs) == 1
-    return recs[0].stats
+    return recs[0]
 
 
 def test_plan_record(ray_session, caplog, monkeypatch):
@@ -236,6 +243,148 @@ def test_plan_record(ray_session, caplog, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(grouping, "SINGLE_BLOCK_MAX_BYTES", nbytes - 1)
         assert run()["plan"] == "distributed"
+
+
+def test_bucket_rows_record(ray_session, caplog, monkeypatch):
+    """A distributed call logs one record of the rows each bucket received:
+    the input rows per ``hash(keys) % n_buckets``, summing to the input."""
+    import ray
+
+    from nlp_series_relation_extraction_ray.functions import grouping
+
+    _force_distributed(monkeypatch)
+    df = _frame(500)
+    n_buckets = 2 * int(ray.cluster_resources()["CPU"])
+    with caplog.at_level(logging.INFO, logger=grouping.__name__):
+        grouping.bucketed_group_apply(
+            ray.data.from_pandas(df).repartition(3), ["k", "s"],
+            lambda d: d.groupby(["k", "s"], as_index=False)["v"].sum(),
+        ).materialize()
+    want = np.bincount(grouping._bucket_of(df, ["k", "s"], n_buckets),
+                       minlength=n_buckets).tolist()
+    assert _grouping_stats(caplog, "bucket_rows") == [
+        {"keys": ["k", "s"], "n_buckets": n_buckets, "bucket_rows": want}]
+    assert sum(want) == len(df)
+
+
+def _sums_udf():
+    """Grouped sum and count over ``(k, s)``; built in a closure so that
+    Ray ships it to the workers by value."""
+    def sums(df: pd.DataFrame) -> pd.DataFrame:
+        g = df.groupby(["k", "s"], as_index=False)
+        return g.agg(total=("v", "sum"), n=("v", "count"))
+
+    return sums
+
+
+def _block_rows(ds) -> list[int]:
+    return [meta.num_rows for bundle in ds.iter_internal_ref_bundles()
+            for _, meta in bundle.blocks]
+
+
+def test_distributed_plan_is_layout_invariant(ray_session, monkeypatch):
+    """The forced distributed plan gives the same rows for any input block
+    layout: 1, 7 or 64 blocks, zero-row blocks among the input, and a union
+    of pyarrow and pandas map outputs.  Only non-empty buckets produce a
+    block, so no output block is empty."""
+    import ray
+
+    from nlp_series_relation_extraction_ray.functions.grouping import (
+        bucketed_group_apply,
+    )
+
+    _force_distributed(monkeypatch)
+    _sums = _sums_udf()
+    df = _frame(2000)
+    want = _sorted(_sums(df), ["k", "s"])
+    empty = df.iloc[0:0]
+    half = len(df) // 2
+    layouts = {
+        f"repartition({n})": ray.data.from_pandas(df).repartition(n)
+        for n in (1, 7, 64)
+    }
+    layouts["zero-row blocks"] = ray.data.from_arrow([
+        pa.Table.from_pandas(d, preserve_index=False)
+        for d in (empty, df.iloc[:half], empty, df.iloc[half:], empty)])
+    layouts["pyarrow + pandas"] = ray.data.from_pandas(
+        df.iloc[:half]).map_batches(lambda t: t, batch_format="pyarrow").union(
+        ray.data.from_pandas(df.iloc[half:]).map_batches(
+            lambda d: d, batch_format="pandas"))
+    for name, ds in layouts.items():
+        out = bucketed_group_apply(ds, ["k", "s"], _sums)
+        assert all(n > 0 for n in _block_rows(out)), name
+        got = _sorted(out.to_pandas(), ["k", "s"])
+        pd.testing.assert_frame_equal(got, want, obj=name)
+
+
+def test_few_keys_into_more_buckets(ray_session):
+    """Two distinct keys into four buckets: at most two reduce tasks run,
+    each block they return holds rows, and every key is merged once.  An
+    empty output of the merge is dropped unless every output is empty."""
+    import ray
+
+    from nlp_series_relation_extraction_ray.functions.grouping import (
+        hash_bucket_apply,
+    )
+
+    _sums = _sums_udf()
+    df = pd.DataFrame({"k": [1, 2] * 50, "s": "x", "v": np.arange(100)})
+    ds = ray.data.from_pandas([df.iloc[i:i + 25] for i in range(0, 100, 25)])
+    out = hash_bucket_apply(ds, ["k", "s"], _sums, 4)
+    rows = _block_rows(out)
+    assert 1 <= len(rows) <= 2 and all(n > 0 for n in rows)
+    pd.testing.assert_frame_equal(_sorted(out.to_pandas(), ["k", "s"]),
+                                  _sorted(_sums(df), ["k", "s"]))
+    # an empty output of fn is dropped, unless every output is empty: one
+    # empty block then carries the schema
+    out = hash_bucket_apply(ds, ["k", "s"],
+                            lambda d: _sums(d[d["k"] == 1]), 4)
+    assert _block_rows(out) == [1]
+    out = hash_bucket_apply(ds, ["k", "s"], lambda d: _sums(d.iloc[0:0]), 4)
+    assert _block_rows(out) == [0]
+    assert out.schema().names == ["k", "s", "total", "n"]
+
+
+def test_reduce_task_crash_is_retried(ray_session, monkeypatch, tmp_path):
+    """A reduce task whose worker dies is re-run by Ray from the split
+    outputs, and the result equals the run without the crash."""
+    import os
+
+    import ray
+
+    from nlp_series_relation_extraction_ray.functions.grouping import (
+        bucketed_group_apply,
+    )
+
+    _force_distributed(monkeypatch)
+    _sums = _sums_udf()
+    marker = str(tmp_path / "crashed")
+
+    def crash_once(d: pd.DataFrame) -> pd.DataFrame:
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return _sums(d)
+        os._exit(1)
+
+    df = _frame(1000)
+    ds = ray.data.from_pandas(df).repartition(4)
+    want = _sorted(bucketed_group_apply(ds, ["k", "s"], _sums).to_pandas(),
+                   ["k", "s"])
+    got = _sorted(bucketed_group_apply(ds, ["k", "s"], crash_once)
+                  .to_pandas(), ["k", "s"])
+    assert os.path.exists(marker)
+    pd.testing.assert_frame_equal(got, want)
+
+
+def test_package_installs_no_log_filter():
+    """Importing the package leaves Ray's executor and pandas-block
+    warnings as Ray reports them."""
+    import nlp_series_relation_extraction_ray  # noqa: F401
+
+    for name in ("ray.data._internal.execution.streaming_executor_state",
+                 "ray.data._internal.pandas_block"):
+        assert logging.getLogger(name).filters == []
 
 
 def _dtypes(ds) -> dict[str, str]:
