@@ -48,7 +48,7 @@ def _n_convs(sf_dir: str, multiplier: int = CONV_MULTIPLIER) -> int:
 
 
 def _warmup() -> None:
-    """Spawn the worker/actor fleet before the timed region (first pipeline
+    """Spawn the task workers before the timed region (first pipeline
     in a fresh session otherwise pays process spawn + import per worker)."""
     import pandas as pd
     import ray
@@ -277,15 +277,13 @@ def bench_queries(sf_dir: str) -> dict:
 
 
 def bench_trained(sf_dir: str, trials: int = 3) -> dict:
-    """Trained-scorer extraction: the actor-pool physical plan with real
-    (28 MB) weights broadcast once and loaded per actor.
+    """Trained-scorer extraction: task-based ``map_batches`` with real
+    (28 MB) weights broadcast once and read once per worker process.
 
     Runs ``trials`` timed passes and reports ALL walls plus the min: the
-    first pass pays the actor-fleet spawn (N worker processes × imports ×
-    weights fetch), which on a contended box has shown 7–19 s swings
-    round-to-round (r1 11.6 / r2 7.1 / r3 18.7 s with identical code) —
-    the warm passes are the steady-state number a long-running cluster
-    job sees, the cold-warm gap is the fleet startup cost."""
+    first pass pays each worker's weights fetch and stage build — the warm
+    passes are the steady-state number a long-running cluster job sees,
+    the cold-warm gap is that one-off cost."""
     import ray
 
     from nlp_series_relation_extraction_ray.sources.transcripts import (

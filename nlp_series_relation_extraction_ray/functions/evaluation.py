@@ -96,7 +96,7 @@ def evaluate_triples(triples_ds, gold_for, total_gold: int) -> dict:
 def evaluate_entities(entities_ds, gold_entities_for) -> dict:
     """Entity-level P/R/F1 (run_evaluation.py:191-208): per-turn set overlap.
 
-    ``entities_ds`` has one row per turn (emitted by a single actor call), so
+    ``entities_ds`` has one row per turn (emitted by a single stage call), so
     the per-turn ``set()`` needs no cross-batch merge.
     """
 

@@ -147,14 +147,14 @@ def min_label_components(pairs_ds, max_iters: int = 25,
     """
     import ray
 
-    from .grouping import bucketed_group_apply
+    from .grouping import _collect, bucketed_group_apply
 
     pairs = pairs_ds.materialize()
     n_edges = 2 * pairs.count()
     rounds = 0
     if n_edges <= small_edge_limit:
         plan = "driver"
-        out = ray.data.from_pandas(_union_find(pairs.to_pandas()))
+        out = ray.data.from_pandas(_union_find(_collect(pairs)))
     else:
         plan = "distributed"
         edges = pairs.map_batches(_edge_rows, batch_format="pandas")

@@ -3,24 +3,22 @@
 Ray-Data-first layout (SURVEY §7.1 step 2/3):
 
     transcripts (conv_id, turn_idx, role, text, tool, ts)
-      └─ map_batches(Extractor(head), batch_format="pyarrow")
+      └─ map_batches(_task_extract, batch_format="pyarrow")
            └─ triples (``stages.format_spo.TRIPLE_SCHEMA``: conv_id,
                        turn_idx, head, predicate, subject, subject_type,
                        object_json, object_type_json, object_value)
 
-The Extractor is a STATEFUL stage (one per task worker through
-``worker_cached``, or an actor pool when a gold lookup is broadcast): head
-construction, schema dicts and (for real models) weights load once in
-``__init__``; ``__call__`` scores+decodes one Arrow batch and emits triple
-rows through ``triples_table`` — score and decode are
+The Extractor is a STATEFUL stage, built once per task worker through
+``worker_cached``: head construction, schema dicts and (for real models)
+weights load once in ``__init__``; ``__call__`` scores+decodes one Arrow
+batch and emits triple rows through ``triples_table`` — score and decode are
 fused in-call so per-example logit tensors (incl. the O(L²R) MHS tensor)
 never become dataset rows and no cross-batch state exists (the reference's
 driver-side ``answer_dict`` accumulator, ``run_mpn.py:70``, is eliminated).
 
 Scorers are pluggable (SURVEY §7.0): the default "oracle" scorer synthesizes
 the probabilities a perfect model would emit from the deterministic fixture
-KB (or from a broadcast gold lookup via ``ray.put``); a neural scorer drops
-into the same slot.
+KB; a trained scorer drops into the same slot (``stages/trained_scorer.py``).
 """
 
 from __future__ import annotations
@@ -50,27 +48,13 @@ def _synthetic_gold(conv_id: str, turn_idx: int) -> list[dict]:
 
 
 class Extractor:
-    """Actor-pool callable for ``map_batches``.
+    """Oracle-head stage for ``map_batches``: the gold is re-derived from
+    the deterministic fixture arithmetic — fully streaming, nothing
+    broadcast."""
 
-    ``gold_ref``: optional ``ray.ObjectRef`` to a broadcast
-    ``{(conv_id, turn_idx): spo_list}`` dict (``ray.put`` once, read per
-    actor); when None the gold is re-derived from the deterministic fixture
-    arithmetic — fully streaming, nothing broadcast.
-    """
-
-    def __init__(self, head: str, gold_ref=None, emit: str = "triples"):
+    def __init__(self, head: str, emit: str = "triples"):
         self.head = stages_base.get_head(head)
         self.emit = emit
-        self._gold_lookup = None
-        if gold_ref is not None:
-            import ray
-
-            self._gold_lookup = ray.get(gold_ref)
-
-    def gold_for(self, conv_id: str, turn_idx: int) -> list[dict]:
-        if self._gold_lookup is not None:
-            return self._gold_lookup.get((conv_id, turn_idx), [])
-        return _synthetic_gold(conv_id, turn_idx)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         head = self.head
@@ -81,7 +65,7 @@ class Extractor:
             batch["text"].to_pylist(),
         ):
             ex = head.preprocess(text)
-            scores = head.oracle_scores(ex, self.gold_for(cid, tix))
+            scores = head.oracle_scores(ex, _synthetic_gold(cid, tix))
             entity_list, spo_list = head.decode(ex, scores)
             if self.emit == "entities":
                 rows.append((cid, tix, head.name,
@@ -107,20 +91,13 @@ def _task_extract(batch: pa.Table, head: str, emit: str) -> pa.Table:
 def extract_triples(
     transcripts_ds,
     head: str = "baseline",
-    gold_ref=None,
     emit: str = "triples",
-    concurrency=None,
     batch_size: int = 128,
-    use_actors: bool | None = None,
 ):
     """transcripts Dataset -> triples (or per-turn entities) Dataset.
 
-    Physical plan choice: the deterministic scorers are cheap to construct,
-    so the default is TASK-based ``map_batches`` with a per-worker cache —
-    it fuses with the upstream stage and uses every CPU (measured ~5x the
-    actor-pool throughput here).  A broadcast ``gold_ref`` (or any genuinely
-    heavy scorer state, e.g. neural weights) flips to the actor-pool path:
-    ``__init__``-once state is exactly what actor pools are for.
+    Task-based ``map_batches`` with a per-worker cached :class:`Extractor`:
+    it fuses with the upstream read and uses every CPU.
 
     ``emit`` is ``"triples"`` or ``"entities"``; anything else raises
     ``ValueError``.
@@ -128,15 +105,9 @@ def extract_triples(
     if emit not in ("triples", "entities"):
         raise ValueError(
             f"unknown emit {emit!r}: expected 'triples' or 'entities'")
-    if use_actors is None:
-        use_actors = gold_ref is not None
-    if not use_actors:
-        return stages_base.map_turns(
-            transcripts_ds, _task_extract, batch_size,
-            kwargs={"head": head, "emit": emit})
     return stages_base.map_turns(
-        transcripts_ds, Extractor, batch_size, concurrency,
-        kwargs={"head": head, "gold_ref": gold_ref, "emit": emit})
+        transcripts_ds, _task_extract, batch_size,
+        kwargs={"head": head, "emit": emit})
 
 
 def explode_complex_slots(triples_ds):

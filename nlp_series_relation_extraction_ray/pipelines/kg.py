@@ -4,8 +4,7 @@
                                              └─ edge combine → dedup/weight → edges
 
 Extraction runs as task-based ``map_batches`` with a per-worker cached
-extractor (``extract_triples``' default; an actor pool only when a gold
-lookup is broadcast).
+extractor (``extract_triples``), fused with the read.
 
 Stage boundaries are Parquet directories: ``out_dir/triples``,
 ``out_dir/nodes``, ``out_dir/edges``.  Triples are written once and re-read by

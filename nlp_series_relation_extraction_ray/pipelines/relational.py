@@ -1754,6 +1754,10 @@ FROM documents GROUP BY ROLLUP(lang, source)
 # --- TF-IDF term ranking (corpus-wide df broadcast + row-local rank) ------
 
 
+_TF_DF_SCHEMA = pa.schema([("doc_id", pa.int64()), ("token", pa.string()),
+                           ("tf", pa.int64()), ("df", pa.int64())])
+
+
 def docs_tfidf_terms(sf_dir: str, k: int = 3,
                      heavy_df_threshold: int | None = None):
     """Top-k distinctive terms per document, ranked by (tf DESC, df ASC,
@@ -1889,17 +1893,14 @@ def docs_tfidf_terms(sf_dir: str, k: int = 3,
 
         from ..functions.joins import shuffle_join
 
+        # the join NaN-promotes its one-side int columns to float64; cast
+        # back so every block of the union carries the heavy side's schema
         light_joined = shuffle_join(light_rows, light_df_tbl, on="token")
-        attached = heavy_rows.union(
-            light_joined.select_columns(["doc_id", "token", "tf", "df"])
-        )
+        attached = heavy_rows.union(light_joined.map_batches(
+            lambda t: t.select(_TF_DF_SCHEMA.names).cast(_TF_DF_SCHEMA),
+            batch_format="pyarrow"))
 
     def rank_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        # the light-tail shuffle join NaN-promotes ints to float64 (union
-        # schema fill); restore exact integer dtypes before ranking
-        for c in ("doc_id", "tf", "df"):
-            df[c] = df[c].astype("int64")
         df = df.sort_values(
             ["doc_id", "tf", "df", "token"],
             ascending=[True, False, True, True],

@@ -5,7 +5,7 @@ canonical_name, entity_type, aliases.  Literal-valued pools (dates, numbers)
 are not KB entities — their mentions become typed literal nodes.
 
 The KB is a SMALL dimension table: ship it with ``ray.put`` once and read it
-inside every linking actor (a broadcast-hash semi-join, SURVEY §2.5 J3) —
+once per linking task worker (a broadcast-hash semi-join, SURVEY §2.5 J3) —
 never a distributed shuffle join.
 """
 

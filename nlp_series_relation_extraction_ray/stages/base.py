@@ -4,7 +4,7 @@ The reference implements four parallel extraction heads, each the triple
 ``(read_examples, Dataset/collate, model+decoder)`` wired by a near-identical
 run script (``/root/reference/run_baseline.py:144-225``, ``run_mpn.py:110-209``,
 ``run_mhs.py:101-213``, ``run_mhs_biaffine.py:101-215``).  Here a head is a
-class with three methods, and the actor-pool stage
+class with three methods, and the extraction stage
 (``pipelines/extract.py``) calls them per turn inside ``map_batches``:
 
 - ``preprocess(text) -> ex`` : tokenize + alignment (an ``Example`` analog);
@@ -59,7 +59,7 @@ def normalize_text(text: str) -> str:
 # Max token length INCLUDING [CLS]/[SEP].  The reference truncates eval
 # batches at max_len=200 (dataset_mpn.py:158-161, dataset_baseline.py:180-184
 # collate caps); we default higher but MUST truncate: an unbounded turn would
-# make the MHS/biaffine O(L²R) in-actor tensor explode at corpus scale.
+# make the MHS/biaffine O(L²R) in-task tensor explode at corpus scale.
 MAX_LEN = 300
 
 
@@ -76,12 +76,13 @@ def truncate_example(tokens, tok_start, tok_end, max_len: int = MAX_LEN):
 
 
 # per-worker-process stage cache for task-based map_batches: construction
-# runs once per worker per kind (actor-style init without the actor-pool
-# dispatch bottleneck); used by extraction, linking, edge-combine tasks and
-# every broadcast lookup table.  Task workers are long-lived and reused
-# across Dataset executions, so the cache holds ONE entry per kind: a call
-# with a new ``version`` (the hex of a fresh ``ray.put`` ref) rebuilds and
-# replaces the old entry instead of keeping a stale copy per call.
+# runs once per worker per kind (load-once-in-``__init__`` semantics without
+# an actor fleet); used by extraction, linking, edge-combine tasks, the IVF
+# bucket assignment and every broadcast lookup table.  Task workers are
+# long-lived and reused across Dataset executions, so the cache holds ONE
+# entry per kind: a call with a new ``version`` (the hex of a fresh
+# ``ray.put`` ref) rebuilds and replaces the old entry instead of keeping a
+# stale copy per call.
 _WORKER_CACHE: dict = {}
 
 
@@ -97,41 +98,22 @@ def worker_cached(kind, builder, version=None):
 TURN_COLUMNS = ["conv_id", "turn_idx", "text"]
 
 
-def actor_pool_size(cpus: int) -> int:
-    """Default number of one-CPU extraction actors on ``cpus`` cluster
-    CPUs: half of them, but always leaving one CPU for the upstream read
-    tasks (a pool that takes every CPU starves the read feeding it, and
-    the stage never finishes), and at least one actor."""
-    return max(1, min(cpus // 2, cpus - 1))
-
-
-def map_turns(transcripts_ds, fn, batch_size: int, concurrency=None,
-              kwargs=None):
+def map_turns(transcripts_ds, fn, batch_size: int, kwargs=None):
     """The one extraction ``map_batches``: Arrow batches of the turn
-    columns through ``fn``.
+    columns through the task function ``fn`` with ``kwargs`` as its
+    keyword arguments.
 
     Only ``TURN_COLUMNS`` are kept, so role/tool/ts are dropped before they
     ship through the object store (when reading Parquet, pair this with
     ``read_parquet(columns=...)``).  The input's schema is read only if it
     is known without running the input; a lazy input is pruned
     unconditionally, which the extraction UDFs allow since they read every
-    turn column.  A function ``fn`` runs as tasks with ``kwargs`` as its
-    keyword arguments.  A class ``fn`` runs as an actor pool, one CPU per
-    actor, built with ``kwargs``; ``concurrency`` defaults to
-    :func:`actor_pool_size` of the cluster's CPUs.
+    turn column.  A stage with state (a head, broadcast weights) builds it
+    once per worker process through :func:`worker_cached`; the tasks fuse
+    with the upstream read.
     """
     schema = transcripts_ds.schema(fetch_if_missing=False)
     if schema is None or set(TURN_COLUMNS) < set(schema.names):
         transcripts_ds = transcripts_ds.select_columns(TURN_COLUMNS)
-    if not isinstance(fn, type):
-        return transcripts_ds.map_batches(
-            fn, fn_kwargs=kwargs, batch_format="pyarrow",
-            batch_size=batch_size)
-    if concurrency is None:
-        import ray
-
-        concurrency = actor_pool_size(
-            int(ray.cluster_resources().get("CPU", 4)))
     return transcripts_ds.map_batches(
-        fn, fn_constructor_kwargs=kwargs, batch_format="pyarrow",
-        batch_size=batch_size, concurrency=concurrency, num_cpus=1)
+        fn, fn_kwargs=kwargs, batch_format="pyarrow", batch_size=batch_size)

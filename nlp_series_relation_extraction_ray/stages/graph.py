@@ -35,7 +35,8 @@ EDGE_SCHEMA = pa.schema(
 
 
 class EdgePartials:
-    """Actor-pool combiner: triple batch -> partial edge rows."""
+    """Map-side combiner: triple batch -> partial edge rows (one per worker
+    process through ``worker_cached``)."""
 
     def __init__(self, alias_index_ref=None):
         self.linker = EntityLinker(alias_index_ref=alias_index_ref)

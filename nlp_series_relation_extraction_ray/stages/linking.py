@@ -1,7 +1,7 @@
 """Entity linking: mention -> KB entity (J3, the north-star extension).
 
 Candidate generation is a broadcast-hash semi-join: the alias index is
-``ray.put`` once and read by every actor in its constructor — the reference's
+``ray.put`` once and read once per task worker — the reference's
 lookup-dict pattern (``run_mhs.py:121-135`` ships id maps to the model) scaled
 out, never a shuffle join.  Candidate scoring reuses the biaffine form of the
 reference's pair scorer (``/root/reference/models/model_mhs_biaffine.py:10-28``:
@@ -31,7 +31,7 @@ def _char_embed(surface: str) -> np.ndarray:
 
 
 class EntityLinker:
-    """Actor-pool callable: mention batch -> mention batch + entity columns.
+    """Map-batches callable: mention batch -> mention batch + entity columns.
 
     Input columns: ``surface``, ``mention_type`` (+ passthrough).  Output adds
     ``entity_id`` (KB id, or ``lit:<surface>`` for unlinked literal types, or
@@ -99,9 +99,9 @@ class EntityLinker:
 
 
 def task_link(batch: pa.Table, ref_key, alias_index_ref) -> pa.Table:
-    """Task-based linking with a per-worker cached EntityLinker (the linker
-    state — alias index + scorer params — is cheap; heavy learned scorers
-    would use the actor-pool path instead)."""
+    """Task-based linking with a per-worker cached EntityLinker: the alias
+    index and scorer params are built once per worker process and rebuilt
+    only for a new broadcast."""
     from .base import worker_cached
 
     linker = worker_cached(

@@ -21,7 +21,7 @@ path.
   ``u`` ascends, its row-major order is the order the full scan visits them;
 - Formatting: shared D4 (``format_spo.py``).
 
-The O(L²R) pair tensor is synthesized AND decoded inside one actor call —
+The O(L²R) pair tensor is synthesized AND decoded inside one stage call —
 never materialized as dataset rows (SURVEY §7.3).
 """
 

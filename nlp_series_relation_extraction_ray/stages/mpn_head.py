@@ -2,7 +2,7 @@
 
 Two-stage cascade: subject span pointers, then per-subject object/predicate
 pointers conditioned on the subject.  The data-dependent per-subject batch
-expansion stays INSIDE one actor call (the reference chunks it at
+expansion stays INSIDE one stage call (the reference chunks it at
 ``split_heads=1024`` inside forward, ``models/model_mpn.py:206-211``), so no
 cross-batch state exists and the per-turn invariant holds.
 

@@ -183,21 +183,27 @@ def kmeans_centroids(
     return centroids
 
 
-class IvfIndexStage:
-    """Actor-pool stage: assign each vector to its nearest coarse centroid
-    (adds a ``bucket`` column — at corpus scale this column is the parquet
-    partition key so probes prune at the read)."""
+def _ivf_assign(batch: pa.Table, centroids_ref) -> pa.Table:
+    import ray
 
-    def __init__(self, centroids_ref):
-        import ray
+    from ..stages.base import worker_cached
 
-        self.centroids = ray.get(centroids_ref)
+    centroids = worker_cached("ivf_cents", lambda: ray.get(centroids_ref),
+                              centroids_ref.hex())
+    vecs, _ = _batch_matrix(batch)
+    vecs = _normalize(vecs)
+    assign = np.argmax(vecs @ centroids.T, axis=1).astype(np.int32)
+    return batch.append_column("bucket", pa.array(assign, pa.int32()))
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        vecs, _ = _batch_matrix(batch)
-        vecs = _normalize(vecs)
-        assign = np.argmax(vecs @ self.centroids.T, axis=1).astype(np.int32)
-        return batch.append_column("bucket", pa.array(assign, pa.int32()))
+
+def _ivf_bucketed(emb_ds, centroids_ref):
+    """Assign each vector to its nearest coarse centroid (adds a ``bucket``
+    column — at corpus scale this column is the parquet partition key so
+    probes prune at the read).  Task-based; the centroids are read once per
+    worker process."""
+    return emb_ds.map_batches(
+        _ivf_assign, fn_kwargs={"centroids_ref": centroids_ref},
+        batch_format="pyarrow")
 
 
 def _train_centroids(emb_ds, n_clusters: int, train_sample: int) -> np.ndarray:
@@ -259,13 +265,7 @@ def knn_ivf(
     centroids = _train_centroids(emb_ds, n_clusters, train_sample)
     cref = ray.put(centroids)
 
-    bucketed = emb_ds.map_batches(
-        IvfIndexStage,
-        fn_constructor_kwargs={"centroids_ref": cref},
-        batch_format="pyarrow",
-        concurrency=(1, 4),
-        num_cpus=1,
-    )
+    bucketed = _ivf_bucketed(emb_ds, cref)
 
     q_mat, q_ids = queries if queries is not None else load_queries(
         emb_ds, n_queries
@@ -311,13 +311,7 @@ def build_ivf_index(
     if os.path.isdir(index_dir):
         shutil.rmtree(index_dir)
     centroids = _train_centroids(emb_ds, n_clusters, train_sample)
-    bucketed = emb_ds.map_batches(
-        IvfIndexStage,
-        fn_constructor_kwargs={"centroids_ref": ray.put(centroids)},
-        batch_format="pyarrow",
-        concurrency=(1, 4),
-        num_cpus=1,
-    )
+    bucketed = _ivf_bucketed(emb_ds, ray.put(centroids))
     # partition on a copy of the column: write_parquet drops partition
     # columns from the data files
     bucketed = bucketed.map_batches(

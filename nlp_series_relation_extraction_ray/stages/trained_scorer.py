@@ -8,8 +8,10 @@ conversation range, then deployed as one stage shape,
 :class:`TrainedExtractor` — weights broadcast once via ``ray.put`` and read
 in ``__init__`` (the reference's checkpoint-load-then-eval pattern,
 ``run_baseline.py:214-217`` / ``predict.py:66-67``, in distributed form),
-and one ``__call__`` for every head.  Scoring is vectorized numpy (gather +
-sum + sigmoid); decode is each head's unchanged decoder.
+and one ``__call__`` for every head — run by one task function,
+:func:`_task_extract_trained`, that builds each head's stage once per
+worker process.  Scoring is vectorized numpy (gather + sum + sigmoid);
+decode is each head's unchanged decoder.
 
 Measured on the fixture corpus (train convs 50000+, eval convs 0..300):
 baseline F1 ≈ 0.99 — a learned model clearing the BASELINE.md ≥0.95 gate
@@ -168,46 +170,33 @@ class TrainedBaselineExtractor(TrainedExtractor):
         return self.head.decode(ex, score_tokens(W, b, ex["tokens"]))[1]
 
 
-def _task_extract_trained(batch: pa.Table, weights_ref) -> pa.Table:
-    # a new weights broadcast replaces the worker's cached entry
+def _task_extract_trained(batch: pa.Table, stage_cls: type,
+                          weights_ref) -> pa.Table:
+    # one cache entry per head label, so alternating heads do not evict
+    # each other; a new weights broadcast replaces that head's entry
     return worker_cached(
-        "trained_weights", lambda: TrainedBaselineExtractor(weights_ref),
+        ("trained", stage_cls.label), lambda: stage_cls(weights_ref),
         weights_ref.hex(),
     )(batch)
 
 
-def extract_triples_trained(
-    transcripts_ds, weights_ref, concurrency=None, batch_size: int = 128,
-    plan: str = "tasks",
-):
-    """Trained-scorer extraction with broadcast model weights (28 MB,
-    ``ray.put`` once).  Two physical plans of one
-    :class:`TrainedBaselineExtractor`, identical output:
-
-    - ``plan="tasks"`` (default): plain ``map_batches`` over the shared
-      long-lived task workers, the extractor built through the per-process
-      :func:`~.base.worker_cached` cache (one zero-copy plasma read per
-      worker per broadcast).  Because task workers survive across Dataset
-      executions, a session's SECOND trained job starts at full speed — an
-      actor fleet would re-pay process spawn × imports × weight fetch per
-      execution, which is exactly the cold/warm gap the bench history showed
-      (r2 7.2 s → r3 18.7 s → r4 8.55 s warm with identical code).  The
-      state is immutable broadcast data, so actor affinity buys nothing.
-    - ``plan="actors"``: the explicit actor-pool stage (weights in
-      ``__init__``) — the shape a GPU/torch scorer needs (pin memory,
-      per-actor device), kept as the S6 reference plan and used by the
-      other trained heads.
-
-    Any other ``plan`` raises ``ValueError``.
-    """
-    if plan not in ("tasks", "actors"):
-        raise ValueError(
-            f"unknown plan {plan!r}: expected 'tasks' or 'actors'")
-    if plan == "actors":
-        return map_turns(transcripts_ds, TrainedBaselineExtractor, batch_size,
-                         concurrency, kwargs={"weights_ref": weights_ref})
+def _extract_trained(transcripts_ds, stage_cls: type, weights_ref,
+                     batch_size: int):
     return map_turns(transcripts_ds, _task_extract_trained, batch_size,
-                     kwargs={"weights_ref": weights_ref})
+                     kwargs={"stage_cls": stage_cls,
+                             "weights_ref": weights_ref})
+
+
+def extract_triples_trained(transcripts_ds, weights_ref,
+                            batch_size: int = 128):
+    """Trained-baseline extraction with broadcast model weights (28 MB,
+    ``ray.put`` once).  Every trained head runs this way: plain task
+    ``map_batches`` fused with the read, the stage built through the
+    per-process :func:`~.base.worker_cached` cache (one zero-copy plasma
+    read per worker per broadcast).  Task workers survive across Dataset
+    executions, so a session's second trained job starts warm."""
+    return _extract_trained(transcripts_ds, TrainedBaselineExtractor,
+                            weights_ref, batch_size)
 
 
 class BatchedTensorBaselineExtractor(TrainedBaselineExtractor):
@@ -221,8 +210,7 @@ class BatchedTensorBaselineExtractor(TrainedBaselineExtractor):
     each example's true length.  Triples are bit-identical to
     :class:`TrainedBaselineExtractor` (same weights, same math, batched) —
     pinned by ``test_batched_tensor_scorer_identical``.  A real
-    torch/BERT scorer drops into this same batched interface with
-    ``num_gpus`` on the ``map_batches`` call.
+    torch/BERT scorer drops into this same batched interface.
     """
 
     label = "baseline-batched"
@@ -254,15 +242,12 @@ class BatchedTensorBaselineExtractor(TrainedBaselineExtractor):
                 for ex, p in zip(exs, probs)]
 
 
-def extract_triples_batched_tensor(
-    transcripts_ds, weights_ref, concurrency=None, batch_size: int = 64
-):
-    """Batched-tensor extraction through the actor pool.  ``batch_size``
-    bounds the padded tensor (B × L_max × 112 floats); for a GPU scorer add
-    ``num_gpus=...`` here and nothing else changes."""
-    return map_turns(transcripts_ds, BatchedTensorBaselineExtractor,
-                     batch_size, concurrency,
-                     kwargs={"weights_ref": weights_ref})
+def extract_triples_batched_tensor(transcripts_ds, weights_ref,
+                                   batch_size: int = 64):
+    """Batched-tensor extraction.  ``batch_size`` bounds the padded tensor
+    (B × L_max × 112 floats)."""
+    return _extract_trained(transcripts_ds, BatchedTensorBaselineExtractor,
+                            weights_ref, batch_size)
 
 
 # ---- trained MPN cascade -------------------------------------------------
@@ -379,9 +364,9 @@ class TrainedMpnExtractor(TrainedExtractor):
 
 
 def extract_triples_trained_mpn(transcripts_ds, weights_ref,
-                                concurrency=None, batch_size: int = 128):
-    return map_turns(transcripts_ds, TrainedMpnExtractor, batch_size,
-                     concurrency, kwargs={"weights_ref": weights_ref})
+                                batch_size: int = 128):
+    return _extract_trained(transcripts_ds, TrainedMpnExtractor, weights_ref,
+                            batch_size)
 
 
 # ---- trained MHS (typed spans + pair selection) --------------------------
@@ -513,9 +498,9 @@ class TrainedMhsExtractor(TrainedExtractor):
 
 
 def extract_triples_trained_mhs(transcripts_ds, weights_ref,
-                                concurrency=None, batch_size: int = 128):
-    return map_turns(transcripts_ds, TrainedMhsExtractor, batch_size,
-                     concurrency, kwargs={"weights_ref": weights_ref})
+                                batch_size: int = 128):
+    return _extract_trained(transcripts_ds, TrainedMhsExtractor, weights_ref,
+                            batch_size)
 
 
 # ---- trained biaffine (bilinear end-pair attention) ----------------------
@@ -648,6 +633,6 @@ class TrainedBiaffineExtractor(TrainedExtractor):
 
 
 def extract_triples_trained_biaffine(transcripts_ds, weights_ref,
-                                     concurrency=None, batch_size: int = 128):
-    return map_turns(transcripts_ds, TrainedBiaffineExtractor, batch_size,
-                     concurrency, kwargs={"weights_ref": weights_ref})
+                                     batch_size: int = 128):
+    return _extract_trained(transcripts_ds, TrainedBiaffineExtractor,
+                            weights_ref, batch_size)

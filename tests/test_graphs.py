@@ -122,3 +122,27 @@ def test_undirected_pairs_canonical_distinct(ray_session, drop_loops):
     got = sorted(zip(df["u"], df["v"]))
     want = [("a", "b"), ("c", "d")] + ([] if drop_loops else [("c", "c")])
     assert got == sorted(want)
+
+
+@pytest.mark.parametrize("small_edge_limit", [2_000_000, 0])
+def test_empty_int_pairs_give_int64_labels(ray_session, small_edge_limit):
+    """A typed empty int64 pair input keeps int64 ``(node, label)``
+    columns, at the default gate and at the gate that forces the
+    distributed plan for any non-empty input (an empty input has nothing
+    to propagate, so both run union-find on the driver)."""
+    import ray
+
+    from nlp_series_relation_extraction_ray.functions.graphs import (
+        min_label_components,
+    )
+    from nlp_series_relation_extraction_ray.functions.grouping import (
+        _collect,
+    )
+
+    pairs = ray.data.from_pandas(
+        pd.DataFrame({"u": [], "v": []}).astype("int64"))
+    got = _collect(min_label_components(
+        pairs, small_edge_limit=small_edge_limit).materialize())
+    assert got.empty
+    assert dict(got.dtypes) == {"node": np.dtype("int64"),
+                                "label": np.dtype("int64")}

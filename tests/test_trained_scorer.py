@@ -1,4 +1,4 @@
-"""Trained (non-oracle) scorer: a learned model in the actor-pool slot must
+"""Trained (non-oracle) scorer: a learned model in the extraction slot must
 clear the BASELINE.md P/R gate on held-out conversations."""
 
 import pytest
@@ -67,52 +67,40 @@ def test_batched_tensor_scorer_identical(ray_session, weights):
     pd.testing.assert_frame_equal(per_example, batched)
 
 
-def test_task_and_actor_plans_identical(ray_session, weights):
-    """The default task-pool plan (worker-global weight cache) and the
-    actor-pool plan (weights in ``__init__``) are alternative physical
-    plans of ONE operator: byte-identical triples."""
-    import pandas as pd
-    import ray
-
-    wref = ray.put(weights)
-    cols = ["conv_id", "turn_idx", "predicate", "subject", "object_json"]
-
-    def run(plan):
-        return (
-            extract_triples_trained(
-                transcripts_dataset(N_EVAL), wref, plan=plan
-            )
-            .select_columns(cols).to_pandas()
-            .sort_values(cols).reset_index(drop=True)
-        )
-
-    pd.testing.assert_frame_equal(run("tasks"), run("actors"))
-
-
-def test_unknown_plan_raises(ray_session):
-    """A misspelt plan must fail loudly, not fall through to the actor
-    pool."""
-    with pytest.raises(ValueError, match="plan 'task'"):
-        extract_triples_trained(transcripts_dataset(2), None, plan="task")
-
-
 def test_worker_weight_cache_keeps_newest_only(ray_session):
-    """Each new weights broadcast replaces the cached entry: repeated
-    trainings in one session do not grow worker memory."""
+    """Each new weights broadcast replaces its head's cached stage, so
+    repeated trainings in one session do not grow worker memory; each head
+    label has its own cache kind, so alternating heads do not evict each
+    other."""
     import numpy as np
+    import pyarrow as pa
     import ray
 
     from nlp_series_relation_extraction_ray.stages import base
+    from nlp_series_relation_extraction_ray.stages import trained_scorer as tsc
 
-    refs = [ray.put((np.full(2, i), np.zeros(1))) for i in range(3)]
+    stages = [tsc.TrainedBaselineExtractor,
+              tsc.BatchedTensorBaselineExtractor]
+    kinds = [("trained", stage.label) for stage in stages]
+    empty = pa.table({
+        "conv_id": pa.array([], pa.string()),
+        "turn_idx": pa.array([], pa.int32()),
+        "text": pa.array([], pa.string()),
+    })
     try:
-        for i, ref in enumerate(refs):
-            W, _ = base.worker_cached(
-                "test_weights", lambda: ray.get(ref), ref.hex())
-            assert W[0] == i
-        assert base._WORKER_CACHE["test_weights"][0] == refs[-1].hex()
+        for i in range(3):
+            ref = ray.put((np.full((2, 112), i, np.float32),
+                           np.zeros(112, np.float32)))
+            for stage in stages:
+                out = tsc._task_extract_trained(empty, stage, ref)
+                assert out.num_rows == 0
+            for kind in kinds:
+                version, extractor = base._WORKER_CACHE[kind]
+                assert version == ref.hex()
+                assert extractor.weights[0][0, 0] == i
     finally:
-        base._WORKER_CACHE.pop("test_weights", None)
+        for kind in kinds:
+            base._WORKER_CACHE.pop(kind, None)
 
 
 def test_worker_cache_one_entry_per_kind(ray_session):
@@ -155,7 +143,7 @@ def test_trained_weights_deterministic():
 
 def test_trained_mpn_cascade(ray_session):
     """The trained two-stage cascade (subject pointers -> conditioned
-    object/predicate pointers) through the actor pool; reduced training
+    object/predicate pointers) as map tasks; reduced training
     budget, so the gate here is 0.90 (the full recipe measures F1 0.98
     with recall 1.0)."""
     import ray
@@ -181,7 +169,7 @@ def test_trained_mpn_cascade(ray_session):
 def test_trained_biaffine_pair_scorer(ray_session):
     """Trained biaffine: typed-span pointers + bilinear end-pair scorer
     (e1ᵀUe2 + [e1;e2]·V + c over frozen random-projection embeddings)
-    through the actor pool; reduced budget, gate 0.90 (the reduced recipe
+    as map tasks; reduced budget, gate 0.90 (the reduced recipe
     itself measures F1 0.98)."""
     import ray
 
@@ -204,8 +192,8 @@ def test_trained_biaffine_pair_scorer(ray_session):
 
 
 def test_trained_mhs_typed_spans(ray_session):
-    """Trained MHS: typed-span model + end-pair relation model through the
-    actor pool; reduced budget, gate 0.90 (full recipe measures F1 1.0)."""
+    """Trained MHS: typed-span model + end-pair relation model as map
+    tasks; reduced budget, gate 0.90 (full recipe measures F1 1.0)."""
     import ray
 
     from nlp_series_relation_extraction_ray.stages.trained_scorer import (

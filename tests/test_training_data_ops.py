@@ -858,6 +858,36 @@ def test_tfidf_hybrid_paths_identical(ray_session):
     pd.testing.assert_frame_equal(default, mixed)
 
 
+def test_tfidf_union_blocks_share_one_schema(ray_session, monkeypatch):
+    """The mixed plan unions the map-side heavy rows with the shuffle-join
+    light rows; every block of that union carries one schema (the join's
+    NaN-promoted float64 columns are cast back before the union)."""
+    import ray
+    from ray.data.block import BlockAccessor
+
+    from nlp_series_relation_extraction_ray.functions import grouping
+    from nlp_series_relation_extraction_ray.pipelines.relational import (
+        docs_tfidf_terms,
+    )
+
+    real = grouping.bucketed_group_apply
+    schemas = []
+
+    def spy(ds, keys, fn, *args, **kwargs):
+        if keys == "doc_id":  # the rank merge over the union
+            ds = ds.materialize()
+            for bundle in ds.iter_internal_ref_bundles():
+                for block in ray.get(list(bundle.block_refs)):
+                    schemas.append(BlockAccessor.for_block(block)
+                                   .to_arrow().schema.remove_metadata())
+        return real(ds, keys, fn, *args, **kwargs)
+
+    monkeypatch.setattr(grouping, "bucketed_group_apply", spy)
+    docs_tfidf_terms(SF, heavy_df_threshold=45).materialize()
+    assert len(schemas) > 1
+    assert all(s == schemas[0] for s in schemas), set(map(str, schemas))
+
+
 def test_knn_lsh_recall_on_clustered_vectors(ray_session):
     """Multi-table hyperplane LSH must recover the exact top-k in its
     design regime (angularly tight clusters, cos ~0.9); see the regime

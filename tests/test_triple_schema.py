@@ -1,6 +1,6 @@
 """Every extraction path writes exactly ``TRIPLE_SCHEMA`` — the same names,
 types and order — with its own ``head`` label, on a normal batch and on a
-zero-row batch."""
+zero-row batch, and runs as tasks (no actor pool)."""
 
 import pyarrow as pa
 import pytest
@@ -29,6 +29,14 @@ _TINY = {
                  dict(n_train_convs=60, span_epochs=4, pair_epochs=4)),
 }
 
+
+def _trained(label, weights, run, stage_cls, id=None):
+    return pytest.param(
+        label, weights, run,
+        lambda ref: lambda b: tsc._task_extract_trained(b, stage_cls, ref),
+        id=id or label)
+
+
 # (head label, weights key or None, Ray Data path, the stage it runs)
 _PATHS = [
     *[
@@ -39,25 +47,18 @@ _PATHS = [
             id=head)
         for head in ("baseline", "mpn", "mhs", "biaffine")
     ],
-    pytest.param(
-        "baseline-trained", "baseline",
-        lambda ds, ref: tsc.extract_triples_trained(ds, ref, plan="tasks"),
-        lambda ref: lambda b: tsc._task_extract_trained(b, ref),
-        id="baseline-trained-tasks"),
-    pytest.param(
-        "baseline-trained", "baseline",
-        lambda ds, ref: tsc.extract_triples_trained(ds, ref, plan="actors"),
-        tsc.TrainedBaselineExtractor, id="baseline-trained-actors"),
-    pytest.param("baseline-batched", "baseline",
-                 tsc.extract_triples_batched_tensor,
-                 tsc.BatchedTensorBaselineExtractor, id="baseline-batched"),
-    pytest.param("mpn-trained", "mpn", tsc.extract_triples_trained_mpn,
-                 tsc.TrainedMpnExtractor, id="mpn-trained"),
-    pytest.param("mhs-trained", "mhs", tsc.extract_triples_trained_mhs,
-                 tsc.TrainedMhsExtractor, id="mhs-trained"),
-    pytest.param("biaffine-trained", "biaffine",
-                 tsc.extract_triples_trained_biaffine,
-                 tsc.TrainedBiaffineExtractor, id="biaffine-trained"),
+    _trained("baseline-trained", "baseline", tsc.extract_triples_trained,
+             tsc.TrainedBaselineExtractor, id="baseline-trained-tasks"),
+    _trained("baseline-batched", "baseline",
+             tsc.extract_triples_batched_tensor,
+             tsc.BatchedTensorBaselineExtractor),
+    _trained("mpn-trained", "mpn", tsc.extract_triples_trained_mpn,
+             tsc.TrainedMpnExtractor),
+    _trained("mhs-trained", "mhs", tsc.extract_triples_trained_mhs,
+             tsc.TrainedMhsExtractor),
+    _trained("biaffine-trained", "biaffine",
+             tsc.extract_triples_trained_biaffine,
+             tsc.TrainedBiaffineExtractor),
 ]
 
 
@@ -73,7 +74,13 @@ def test_extraction_path_emits_triple_schema(weight_refs, label, weights,
                                              run, stage):
     import ray
 
+    from ray.data._internal.logical.optimizers import get_execution_plan
+
     ref = weight_refs[weights] if weights else None
+    plan = get_execution_plan(
+        run(transcripts_dataset(N_CONVS), ref)._logical_plan).dag.dag_str
+    assert "TaskPoolMapOperator" in plan
+    assert "ActorPoolMapOperator" not in plan
     blocks = ray.get(run(transcripts_dataset(N_CONVS), ref).to_arrow_refs())
     assert blocks
     for block in blocks:
@@ -90,16 +97,9 @@ def test_extraction_path_emits_triple_schema(weight_refs, label, weights,
     try:
         out = stage(ref)(empty)
     finally:
-        base._WORKER_CACHE.pop("trained_weights", None)
+        base._WORKER_CACHE.pop(("trained", label), None)
     assert out.num_rows == 0
     assert out.schema == TRIPLE_SCHEMA
-
-
-@pytest.mark.parametrize("cpus,actors", [(1, 1), (2, 1), (4, 2), (32, 16)])
-def test_actor_pool_leaves_a_cpu_for_the_read(cpus, actors):
-    """The default pool never takes every CPU of a multi-CPU cluster: the
-    upstream read needs one, or the stage never finishes."""
-    assert base.actor_pool_size(cpus) == actors
 
 
 def test_map_turns_plans_without_running_its_input(ray_session, tmp_path):

@@ -1,5 +1,5 @@
 """Long-turn safety: preprocess truncates at MAX_LEN so the MHS/biaffine
-O(L²R) in-actor tensor stays bounded, and facts within the window still
+O(L²R) in-task tensor stays bounded, and facts within the window still
 round-trip (reference analog: eval collate max_len cap)."""
 
 import pytest
