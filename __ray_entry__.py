@@ -450,20 +450,22 @@ def _ivf_index_dir(sf_dir: str) -> str:
     """Build (or reuse) the physically bucket-partitioned parquet index for
     this corpus under /tmp.  A finished on-disk index (centroids.npy
     present) is reused even across processes — rebuilding into it would
-    duplicate every vector (write_parquet appends unique per-run files)."""
+    duplicate every vector (write_parquet appends unique per-run files).
+    The directory is keyed on ``sf_dir`` and on the source of
+    ``stages/similarity.py``, so an index that another version of the
+    bucket assignment wrote is never reused."""
     import hashlib
     import os
 
-    from nlp_series_relation_extraction_ray.stages.similarity import (
-        build_ivf_index,
-    )
+    from nlp_series_relation_extraction_ray.stages import similarity
 
     key = ("ivf_index", sf_dir)
     if key not in _SHARED_CACHE:
-        tag = hashlib.md5(sf_dir.encode()).hexdigest()[:8]
-        index_dir = f"/tmp/ivf_index_{tag}"
+        tag = hashlib.md5(sf_dir.encode())
+        tag.update(Path(similarity.__file__).read_bytes())
+        index_dir = f"/tmp/ivf_index_{tag.hexdigest()[:12]}"
         if not os.path.exists(os.path.join(index_dir, "centroids.npy")):
-            build_ivf_index(_embs(sf_dir), index_dir)
+            similarity.build_ivf_index(_embs(sf_dir), index_dir)
         _SHARED_CACHE[key] = index_dir
     return _SHARED_CACHE[key]
 

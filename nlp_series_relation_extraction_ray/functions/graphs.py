@@ -1,10 +1,16 @@
-"""Undirected-graph kernels shared by the graph operators.
+"""Undirected-graph kernels shared by the graph operators, and their one
+size gate.
 
 ``undirected_pairs`` is the one builder of the canonical pair table
 (distinct ``(u, v)`` with ``u < v``) that components, triangles and k-core
 start from.  ``min_label_components`` is the one connected-components
 kernel: ``kg_components`` (string labels) and ``dedup.dup_clusters`` (int64
 labels) keep only their own output shaping around it.
+
+``graph_plan`` is the gate: up to ``DRIVER_MAX_PAIRS`` canonical pairs the
+operator runs on the driver over the collected pair table, above it its
+distributed plan runs.  PageRank gates on nodes (``DENSE_MAX_NODES``).
+Each gated call logs one ``{op, plan, pairs, rounds}`` record.
 """
 
 from __future__ import annotations
@@ -15,6 +21,35 @@ import numpy as np
 import pandas as pd
 
 logger = logging.getLogger(__name__)
+
+DRIVER_MAX_PAIRS = 1_000_000  # canonical pairs; at most this runs on the driver
+DENSE_MAX_NODES = 100_000  # PageRank nodes; at most this runs the dense plan
+MAX_ITERS = 25  # propagation rounds before the budget warning (hard cap 8x)
+
+
+def log_plan(op: str, plan: str, pairs: int, rounds: int) -> None:
+    """A call's one INFO record; its ``stats`` attribute holds ``op``,
+    ``plan`` (``driver`` or ``distributed``), ``pairs`` (the input edge
+    count) and ``rounds`` (0 on the driver, except PageRank's iterations)."""
+    stats = {"op": op, "plan": plan, "pairs": pairs, "rounds": rounds}
+    logger.info("graph plan: op=%s plan=%s pairs=%d rounds=%d",
+                op, plan, pairs, rounds, extra={"stats": stats})
+
+
+def graph_plan(op: str, pairs, driver, distributed):
+    """``driver(frame)`` over the collected pair table ``pairs`` (counted
+    from block metadata: no execution) up to ``DRIVER_MAX_PAIRS`` rows,
+    else ``distributed(pairs) -> (result, rounds)``'s result; logged."""
+    from .grouping import _collect
+
+    n = pairs.count()
+    if n <= DRIVER_MAX_PAIRS:
+        plan, out, rounds = "driver", driver(_collect(pairs)), 0
+    else:
+        plan = "distributed"
+        out, rounds = distributed(pairs)
+    log_plan(op, plan, n, rounds)
+    return out
 
 
 def undirected_pairs(edges_ds, src: str, dst: str, drop_loops: bool):
@@ -53,8 +88,11 @@ def _edge_rows(df: pd.DataFrame) -> pd.DataFrame:
 def _union_find(ep: pd.DataFrame) -> pd.DataFrame:
     """Driver-local (node, label) over a collected pair frame; union by
     min, so each root is its component's minimum — the converged
-    propagation label.  Rows come out sorted by node."""
-    ep = ep.reindex(columns=["u", "v"])  # an empty input may be schema-less
+    propagation label.  Rows come out sorted by node, typed like ``u``; a
+    column-less input (a zero-row map output: Ray skips the UDF for an
+    empty block, whose schema is then lost) gives int64, not float64."""
+    if not len(ep.columns):
+        ep = pd.DataFrame({"u": [], "v": []}, dtype="int64")
     parent: dict = {}
 
     def find(x):
@@ -121,74 +159,64 @@ def _forward(df: pd.DataFrame) -> pd.DataFrame:
     return pd.concat([own, fwd], ignore_index=True)
 
 
-def min_label_components(pairs_ds, max_iters: int = 25,
-                         small_edge_limit: int = 2_000_000):
+def _propagate(pairs):
+    """Distributed min-label propagation over the pair table: ``(labels,
+    rounds)``, as :func:`min_label_components` describes it."""
+    from .grouping import bucketed_group_apply
+
+    edges = pairs.map_batches(_edge_rows, batch_format="pandas").materialize()
+    labels = bucketed_group_apply(
+        edges.map_batches(_init_rows, batch_format="pandas"), "node",
+        _take_min,
+    ).materialize()
+    hard_cap = max(MAX_ITERS * 8, MAX_ITERS + 1)
+    rounds = 0
+    while True:
+        if rounds == hard_cap:
+            raise RuntimeError(
+                f"min_label_components: label propagation did not "
+                f"converge within {hard_cap} rounds — graph diameter "
+                f"exceeds the iteration budget; raise MAX_ITERS"
+            )
+        rounds += 1
+        msgs = bucketed_group_apply(
+            labels.map_batches(_label_rows, batch_format="pandas")
+            .union(edges), "key", _forward,
+        )
+        labels = bucketed_group_apply(msgs, "node", _take_min).materialize()
+        if not labels.sum("dropped"):
+            break
+        if rounds == MAX_ITERS:
+            logger.warning(
+                "min_label_components: no fixpoint after max_iters=%d "
+                "rounds; extending to %d (graph diameter exceeds budget)",
+                MAX_ITERS, hard_cap,
+            )
+    out = labels.map_batches(lambda df: df[["node", "label"]],
+                             batch_format="pandas")
+    return out, rounds
+
+
+def min_label_components(pairs_ds):
     """(node, label) for every node incident to a pair of ``pairs_ds``
     (columns ``u``, ``v``; any orderable dtype, e.g. int64 or string);
     ``label`` is the minimum node of the node's connected component.
 
-    Size-gated plan: with at most ``small_edge_limit`` directed edges (two
-    per pair) the pair list is collected and union-find runs on the driver
-    (``plan="driver"``).  Above it, distributed min-label propagation runs
-    (``plan="distributed"``): init folds in round 1 (label = min of self
-    and neighbours), then each round is one label⋈edge forward reduce plus
-    one per-node min reduce.  Label rows and edge rows are told apart by
-    an ``is_label`` flag.  Labels only decrease, so the per-node min
-    reduce also counts the nodes whose label dropped, and a round with
-    none is an exact fixpoint; rounds = the largest distance from a node
-    to its component minimum (at most the diameter).  Past
-    ``max_iters`` rounds the loop warns and extends to a hard cap of
-    ``8 * max_iters``, beyond which it raises ``RuntimeError`` rather than
-    return unconverged labels.
-
-    Logs one record per call whose ``stats`` attribute holds the plan,
-    the directed edge count and the propagation rounds run (0 for the
-    driver plan).
+    Through :func:`graph_plan`: on the driver, union-find runs over the
+    collected pair list.  The distributed plan is min-label propagation:
+    init folds in round 1 (label = min of self and neighbours), then each
+    round is one label⋈edge forward reduce plus one per-node min reduce.
+    Label rows and edge rows are told apart by an ``is_label`` flag.
+    Labels only decrease, so the per-node min reduce also counts the
+    nodes whose label dropped, and a round with none is an exact
+    fixpoint; rounds = the largest distance from a node to its component
+    minimum (at most the diameter).  Past ``MAX_ITERS`` rounds the loop
+    warns and extends to a hard cap of ``8 * MAX_ITERS``, beyond which it
+    raises ``RuntimeError`` rather than return unconverged labels.
     """
     import ray
 
-    from .grouping import _collect, bucketed_group_apply
-
-    pairs = pairs_ds.materialize()
-    n_edges = 2 * pairs.count()
-    rounds = 0
-    if n_edges <= small_edge_limit:
-        plan = "driver"
-        out = ray.data.from_pandas(_union_find(_collect(pairs)))
-    else:
-        plan = "distributed"
-        edges = pairs.map_batches(_edge_rows, batch_format="pandas")
-        edges = edges.materialize()
-        labels = bucketed_group_apply(
-            edges.map_batches(_init_rows, batch_format="pandas"), "node",
-            _take_min,
-        ).materialize()
-        hard_cap = max(max_iters * 8, max_iters + 1)
-        while True:
-            if rounds == hard_cap:
-                raise RuntimeError(
-                    f"min_label_components: label propagation did not "
-                    f"converge within {hard_cap} rounds — graph diameter "
-                    f"exceeds the iteration budget; raise max_iters"
-                )
-            rounds += 1
-            msgs = bucketed_group_apply(
-                labels.map_batches(_label_rows, batch_format="pandas")
-                .union(edges), "key", _forward,
-            )
-            labels = bucketed_group_apply(
-                msgs, "node", _take_min).materialize()
-            if not labels.sum("dropped"):
-                break
-            if rounds == max_iters:
-                logger.warning(
-                    "min_label_components: no fixpoint after max_iters=%d "
-                    "rounds; extending to %d (graph diameter exceeds "
-                    "budget)", max_iters, hard_cap,
-                )
-        out = labels.map_batches(lambda df: df[["node", "label"]],
-                                 batch_format="pandas")
-    stats = {"plan": plan, "directed_edges": n_edges, "rounds": rounds}
-    logger.info("min_label_components: plan=%s directed_edges=%d rounds=%d",
-                plan, n_edges, rounds, extra={"stats": stats})
-    return out
+    return graph_plan(
+        "min_label_components", pairs_ds.materialize(),
+        lambda ep: ray.data.from_pandas(_union_find(ep)), _propagate,
+    )

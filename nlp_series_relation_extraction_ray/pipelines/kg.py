@@ -280,7 +280,7 @@ def _pair_degrees(pairs_ds):
                          prep=endpoints)
 
 
-def kg_triangles(edges_ds, small_edge_limit: int = 2_000_000):
+def kg_triangles(edges_ds):
     """Per-node triangle counts over the undirected KG entity graph —
     degree-ordered distributed triangle enumeration.
 
@@ -304,21 +304,24 @@ def kg_triangles(edges_ds, small_edge_limit: int = 2_000_000):
 
     Oracle: 3-way self-join over the same canonical pair set in DuckDB.
 
-    Size-gated plan (the PageRank pattern): entity graphs are edge-dedup
-    OUTPUTS and typically fit far under ``small_edge_limit`` canonical
-    pairs even when the mention corpus is 100 TB; below the gate the
-    degree-ordered enumeration runs driver-local on the collected pair
+    Size-gated through ``graphs.graph_plan``: entity graphs are edge-dedup
+    OUTPUTS and typically fit far under ``graphs.DRIVER_MAX_PAIRS``
+    canonical pairs even when the mention corpus is 100 TB; below the gate
+    the degree-ordered enumeration runs driver-local on the collected pair
     list (identical algorithm and output), above it the full 6-stage
-    distributed plan runs.
+    distributed plan runs (one pass: 0 rounds in the plan record).
     """
-    from ..functions.graphs import undirected_pairs
-    from ..functions.grouping import bucketed_group_apply, two_phase_agg
-    from ..functions.joins import shuffle_join
+    from ..functions.graphs import graph_plan, undirected_pairs
 
     pairs = undirected_pairs(edges_ds, "src_id", "dst_id", drop_loops=True)
+    return graph_plan("kg_triangles", pairs, _local_triangles,
+                      lambda p: (_triangles_distributed(p), 0))
 
-    if pairs.count() <= small_edge_limit:
-        return _local_triangles(pairs.to_pandas())
+
+def _triangles_distributed(pairs):
+    """Stages 2-6 of :func:`kg_triangles` over the canonical pair table."""
+    from ..functions.grouping import bucketed_group_apply, two_phase_agg
+    from ..functions.joins import shuffle_join
 
     deg = _pair_degrees(pairs)
 
@@ -407,54 +410,70 @@ def kg_triangles(edges_ds, small_edge_limit: int = 2_000_000):
                          {"n_triangles": ("n_triangles", "sum")})
 
 
-def kg_pagerank(edges_ds, damping: float = 0.85, n_iter: int = 5,
-                dense_threshold: int = 100_000):
+def _adjacency(edges_ds):
+    """Distinct directed ``(src, dst)`` entity-id pairs as strings,
+    materialized: a map-side ``drop_duplicates`` per block, then one
+    bucketed pair-keyed reduce makes them distinct globally."""
+    from ..functions.grouping import bucketed_group_apply
+
+    def to_edges(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
+            {"src": df["src_id"].astype(str), "dst": df["dst_id"].astype(str)}
+        ).drop_duplicates()
+
+    return bucketed_group_apply(
+        edges_ds.map_batches(to_edges, batch_format="pandas"), ["src", "dst"],
+        lambda df: df.drop_duplicates(),
+    ).materialize()
+
+
+def kg_pagerank(edges_ds, damping: float = 0.85, n_iter: int = 5):
     """PageRank over the directed KG entity graph (distinct src→dst edges),
     fixed-iteration power method — the engine's iterative-analytics shape.
 
     Two physical plans, chosen by measured node count (the classic
     size-based switch: node STATE is tiny relative to the edge table):
 
-    - **dense broadcast** (n_nodes ≤ dense_threshold): the node universe
-      and out-degrees fold from map-side partials; the adjacency is
-      integer-encoded ONCE (broadcast id map) and repartitioned to
-      cpu-count blocks; each iteration broadcasts the per-node emission
-      vector (``ray.put``, 8 bytes/node) and runs ONE pure map pass —
-      every block returns a dense contribution vector, the driver sums
-      #blocks small vectors and applies damping/dangling in closed form.
-      No per-iteration shuffle at all.  At the default threshold the
-      broadcast is ≤ 800 KB and a block's return ≤ 800 KB — a KG of 10⁵
-      canonical entities with 10¹² mentions stays in this regime.
-    - **shuffle join** (larger): per iteration one shuffle join sends each
-      node's rank to its out-edges and one bucketed reduce sums per
-      destination; ranks re-materialize per round so lineage stays
-      one-iteration deep.  Dangling mass recovers in closed form from the
-      emitted-contribution sum (O(1) driver scalar per round).
+    - **dense broadcast** (``plan="driver"``, n_nodes ≤
+      ``graphs.DENSE_MAX_NODES``): the rank vector lives on the driver;
+      the adjacency is integer-encoded ONCE (broadcast id map) and
+      repartitioned to cpu-count blocks; each iteration broadcasts the
+      per-node emission vector (``ray.put``, 8 bytes/node) and runs ONE
+      pure map pass — every block returns a dense contribution vector, the
+      driver sums #blocks small vectors and applies damping/dangling in
+      closed form.  No per-iteration shuffle at all.  At the default
+      threshold the broadcast is ≤ 800 KB and a block's return ≤ 800 KB —
+      a KG of 10⁵ canonical entities with 10¹² mentions stays in this
+      regime.
+    - **shuffle join** (``plan="distributed"``, larger): per iteration one
+      shuffle join sends each node's rank to its out-edges and one
+      bucketed reduce sums per destination; ranks re-materialize per round
+      so lineage stays one-iteration deep.  Dangling mass recovers in
+      closed form from the emitted-contribution sum (O(1) driver scalar
+      per round).
 
     Both plans are value-identical (same update rule); floats → rows-only
     driver check; the fixed-point is pinned against a dense numpy
-    reference in pytest for BOTH plans.
+    reference in pytest for BOTH plans.  Logs one graph-plan record
+    (``pairs`` = distinct directed edges, ``rounds`` = ``n_iter``).
     """
+    from ..functions import graphs
+
+    adj = _adjacency(edges_ds)
+    deg = _out_degrees(adj)
+    if len(deg) <= graphs.DENSE_MAX_NODES:
+        plan, ranks = "driver", _pagerank_dense(adj, deg, damping, n_iter)
+    else:
+        plan, ranks = "distributed", _pagerank_shuffle(adj, damping, n_iter)
+    graphs.log_plan("kg_pagerank", plan, adj.count(), n_iter)
+    return ranks
+
+
+def _pagerank_shuffle(adj, damping: float, n_iter: int):
+    """The shuffle-join PageRank plan (see ``kg_pagerank``) over the
+    materialized adjacency ``adj``."""
     from ..functions.grouping import bucketed_group_apply
     from ..functions.joins import shuffle_join
-
-    def to_edges(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
-            {"src": df["src_id"].astype(str), "dst": df["dst_id"].astype(str)}
-        )
-        return out.drop_duplicates()
-
-    def dedup(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates()
-
-    adj = bucketed_group_apply(
-        edges_ds.map_batches(to_edges, batch_format="pandas"), ["src", "dst"],
-        dedup,
-    ).materialize()
-
-    dense = _pagerank_dense(adj, damping, n_iter, dense_threshold)
-    if dense is not None:
-        return dense
 
     # node universe (src ∪ dst, distinct) — stays a Dataset
     def nodes_of(df: pd.DataFrame) -> pd.DataFrame:
@@ -463,7 +482,8 @@ def kg_pagerank(edges_ds, damping: float = 0.85, n_iter: int = 5,
         ).drop_duplicates()
 
     nodes = bucketed_group_apply(
-        adj.map_batches(nodes_of, batch_format="pandas"), "node", dedup
+        adj.map_batches(nodes_of, batch_format="pandas"), "node",
+        lambda df: df.drop_duplicates(),
     ).materialize()
     n_nodes = nodes.count()
 
@@ -532,21 +552,10 @@ def kg_pagerank(edges_ds, damping: float = 0.85, n_iter: int = 5,
     return ranks.map_batches(finish, batch_format="pandas")
 
 
-def _pagerank_dense(adj, damping: float, n_iter: int, threshold: int):
-    """Dense-broadcast PageRank plan (see ``kg_pagerank``).  Returns None
-    when the node universe exceeds ``threshold`` (caller falls back to the
-    shuffle-join plan).
-
-    Node universe + out-degrees fold from map-side partials: each
-    adjacency block contributes ≤ its distinct-node count of (node, cnt)
-    rows, so the driver collect is bounded by #blocks × n_nodes — with
-    n_nodes ≤ threshold that is MBs, while the edge table itself never
-    leaves the cluster.
-    """
-    import pyarrow as pa
-    import ray
-
-    from ..stages.base import worker_cached
+def _out_degrees(adj) -> pd.Series:
+    """Out-degree per node of the adjacency (src ∪ dst, sorted), folded
+    from map-side partials: the driver collects ≤ #blocks × n_nodes rows,
+    while the edge table itself never leaves the cluster."""
 
     def deg_rows(df: pd.DataFrame) -> pd.DataFrame:
         src_cnt = df["src"].value_counts()
@@ -566,11 +575,20 @@ def _pagerank_dense(adj, damping: float, n_iter: int, threshold: int):
         ),
         ignore_index=True,
     )
-    deg = parts.groupby("node")["outdeg"].sum()
-    n = len(deg)
-    if n > threshold:
-        return None
+    return parts.groupby("node")["outdeg"].sum()
 
+
+def _pagerank_dense(adj, deg: pd.Series, damping: float, n_iter: int):
+    """Dense-broadcast PageRank plan (see ``kg_pagerank``) over the
+    materialized adjacency and its :func:`_out_degrees`."""
+    import os
+
+    import pyarrow as pa
+    import ray
+
+    from ..stages.base import worker_cached
+
+    n = len(deg)
     nodes = deg.index.to_numpy()
     outdeg = deg.to_numpy(dtype=np.float64)
     idx_ref = ray.put({nd: i for i, nd in enumerate(nodes)})
@@ -587,8 +605,6 @@ def _pagerank_dense(adj, damping: float, n_iter: int, threshold: int):
                 "d": df["dst"].map(idx).astype("int32"),
             }
         )
-
-    import os
 
     n_blocks = max(1, min(os.cpu_count() or 8, adj.num_blocks()))
     enc = (
@@ -627,8 +643,7 @@ def _pagerank_dense(adj, damping: float, n_iter: int, threshold: int):
     return ray.data.from_pandas(pd.DataFrame({"node": nodes, "rank": r}))
 
 
-def kg_components(edges_ds, max_iters: int = 25,
-                  small_edge_limit: int = 2_000_000):
+def kg_components(edges_ds):
     """(entity_id, component_id) — weakly-connected components of the KG
     entity graph; ``component_id`` is the lexicographically-minimum
     entity_id in the component.  The KG analogue of dedup's
@@ -638,7 +653,7 @@ def kg_components(edges_ds, max_iters: int = 25,
     Canonical pairs (loops kept, so a self-loop's endpoint joins the node
     universe) go through :func:`~..functions.graphs.min_label_components`
     with string labels (min = lexicographic): driver-local union-find up
-    to ``small_edge_limit`` directed edges, distributed min-label
+    to ``graphs.DRIVER_MAX_PAIRS`` pairs, distributed min-label
     propagation above.  Node universe = every edge endpoint (entities with
     no edges are trivial singletons and are not emitted — matching the
     oracle's edge-derived universe).
@@ -652,9 +667,8 @@ def kg_components(edges_ds, max_iters: int = 25,
         return out.astype({"entity_id": "string", "component_id": "string"})
 
     pairs = undirected_pairs(edges_ds, "src_id", "dst_id", drop_loops=False)
-    return min_label_components(
-        pairs, max_iters=max_iters, small_edge_limit=small_edge_limit
-    ).map_batches(rename, batch_format="pandas")
+    return min_label_components(pairs).map_batches(rename,
+                                                   batch_format="pandas")
 
 
 def kg_edges_named(edges_ds, nodes_ds):
@@ -701,45 +715,34 @@ def kg_edges_named(edges_ds, nodes_ds):
     )
 
 
-def kg_pagerank_check(edges_ds, damping: float = 0.85, n_iter: int = 5,
-                      tol: float = 1e-9, sum_tol: float = 1e-6):
+def kg_pagerank_check(edges_ds, damping: float = 0.85, n_iter: int = 5):
     """Boolean-verdict accuracy gate for :func:`kg_pagerank` (the one KG
     query whose floats make it rows-only): per node,
-    ``|distributed_rank − dense_reference_rank| ≤ tol`` plus a global
-    ``|Σ rank − 1| ≤ sum_tol`` verdict, emitted as literal booleans —
+    ``|distributed_rank − dense_reference_rank| ≤ 1e-9`` plus a global
+    ``|Σ rank − 1| ≤ 1e-6`` verdict, emitted as literal booleans —
     the SQL oracle emits the node universe + literal TRUE, so a
     hash-exact driver match IS the fixed-point check (same pattern as
     the sketch ``*_check`` queries).
 
-    The distributed side runs the SHUFFLE-JOIN plan (``dense_threshold=0``
+    The distributed side is the SHUFFLE-JOIN plan (``_pagerank_shuffle``
     — the 100-TB path, one rank⋈edge join + one per-destination reduce per
     iteration); the reference is an independent driver-side dense power
-    iteration over the collected distinct adjacency.  Collecting that
-    adjacency is bounded by the canonical-entity vocabulary squared (edges
-    are the OUTPUT of canonicalization's reduce), not by corpus size —
-    the same boundedness argument as the dense-broadcast plan itself.
+    iteration over the same adjacency table, collected.  Collecting it is
+    bounded by the canonical-entity vocabulary squared (edges are the
+    OUTPUT of canonicalization's reduce), not by corpus size — the same
+    boundedness argument as the dense-broadcast plan itself.
     """
-    from ..functions.grouping import bucketed_group_apply
+    from ..functions.grouping import _collect
 
-    distributed = kg_pagerank(
-        edges_ds, damping=damping, n_iter=n_iter, dense_threshold=0
-    ).to_pandas()
+    adj = _adjacency(edges_ds)
+    distributed = _pagerank_shuffle(adj, damping, n_iter).to_pandas()
 
-    def to_edges(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"src": df["src_id"].astype(str), "dst": df["dst_id"].astype(str)}
-        ).drop_duplicates()
-
-    adj = bucketed_group_apply(
-        edges_ds.map_batches(to_edges, batch_format="pandas"), ["src", "dst"],
-        lambda df: df.drop_duplicates(),
-    ).to_pandas()
-
-    nodes = sorted(set(adj["src"]) | set(adj["dst"]))
+    ep = _collect(adj)
+    nodes = sorted(set(ep["src"]) | set(ep["dst"]))
     idx = {node: i for i, node in enumerate(nodes)}
     n = len(nodes)
-    src = adj["src"].map(idx).to_numpy()
-    dst = adj["dst"].map(idx).to_numpy()
+    src = ep["src"].map(idx).to_numpy()
+    dst = ep["dst"].map(idx).to_numpy()
     outdeg = np.bincount(src, minlength=n)
     r = np.full(n, 1.0 / n)
     safe_deg = np.where(outdeg == 0, 1, outdeg)
@@ -750,16 +753,14 @@ def kg_pagerank_check(edges_ds, damping: float = 0.85, n_iter: int = 5,
         r = (1.0 - damping) / n + damping * (contrib + dangling / n)
 
     got = distributed.set_index("node")["rank"].reindex(nodes)
-    within = (got.to_numpy() - r) ** 2 <= tol * tol  # NaN-safe: NaN → False
-    sum_ok = bool(abs(float(got.fillna(0.0).sum()) - 1.0) <= sum_tol) and (
+    within = np.abs(got.to_numpy() - r) <= 1e-9  # NaN-safe: NaN → False
+    sum_ok = bool(abs(float(got.fillna(0.0).sum()) - 1.0) <= 1e-6) and (
         len(distributed) == n
     )
-    return pd.DataFrame(
-        {"node": nodes, "within_tol": within.astype(bool), "sum_ok": sum_ok}
-    )
+    return pd.DataFrame({"node": nodes, "within_tol": within, "sum_ok": sum_ok})
 
 
-def _kcore_local(pairs: list[tuple[str, str]]) -> dict[str, int]:
+def _kcore_local(pairs) -> dict[str, int]:
     """Driver-local core-number reference: phase peeling (for ascending k,
     repeatedly delete nodes with current degree < k; a node deleted in
     phase k has core number k−1).  Bounded-graph path + the independent
@@ -789,7 +790,7 @@ def _kcore_local(pairs: list[tuple[str, str]]) -> dict[str, int]:
     return core
 
 
-def kg_kcore(edges_ds, small_edge_limit: int = 2_000_000):
+def kg_kcore(edges_ds):
     """(entity_id, core) — k-core decomposition of the undirected simple
     KG entity graph (self-loops dropped): ``core`` is the largest k such
     that the node survives in the subgraph where every node has degree
@@ -797,56 +798,48 @@ def kg_kcore(edges_ds, small_edge_limit: int = 2_000_000):
     / pagerank / components: core number separates hub-dense regions from
     peripheral tendrils.
 
-    Same size-gated plan as :func:`kg_components`: below
-    ``small_edge_limit`` the collected pair list peels driver-local;
-    above it, distributed phase peeling runs — per round ONE bucketed
-    degree reduce over the active edge table plus one map-side filter
-    against the broadcast just-removed node set.  The driver holds only
-    node-bounded state (the alive set and assigned cores — the canonical
-    entity vocabulary, not the corpus; the same boundedness argument as
-    the dense-pagerank plan), while the edge table itself stays
-    distributed throughout.
+    Size-gated through ``graphs.graph_plan``, like :func:`kg_components`:
+    up to ``graphs.DRIVER_MAX_PAIRS`` pairs the collected pair list peels
+    driver-local; above it, :func:`_kcore_distributed` runs.
     """
     import ray
 
-    from ..functions.graphs import undirected_pairs
-    from ..functions.grouping import bucketed_group_apply
+    from ..functions.graphs import graph_plan, undirected_pairs
 
     pairs = undirected_pairs(edges_ds, "src_id", "dst_id", drop_loops=True)
+    core = graph_plan(
+        "kg_kcore", pairs, lambda ep: _kcore_local(zip(ep["u"], ep["v"])),
+        _kcore_distributed,
+    )
+    nodes = sorted(core)
+    return ray.data.from_pandas(pd.DataFrame(
+        {"entity_id": pd.array(nodes, dtype="string"),
+         "core": pd.array([core[n] for n in nodes], dtype="int64")}
+    ))
 
-    def finish(core: dict[str, int]):
-        nodes = sorted(core)
-        return ray.data.from_pandas(pd.DataFrame(
-            {"entity_id": pd.array(nodes, dtype="string"),
-             "core": pd.array([core[n] for n in nodes], dtype="int64")}
-        ))
 
-    if pairs.count() <= small_edge_limit:
-        ep = pairs.to_pandas()
-        return finish(_kcore_local(list(zip(ep["u"], ep["v"]))))
+def _kcore_distributed(pairs) -> tuple[dict[str, int], int]:
+    """Distributed phase peeling over the canonical pair table: ``(core
+    numbers, rounds)``.  A round is ONE bucketed degree reduce over the
+    active edge table, after a map-side filter against the broadcast set
+    of nodes the last round removed.  The driver holds only node-bounded
+    state (degrees, alive set, cores: the canonical entity vocabulary),
+    while the edge table itself stays distributed throughout."""
+    import ray
 
-    # ---- distributed phase peeling ----
-    def node_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"node": pd.concat([df["u"], df["v"]], ignore_index=True)}
-        ).drop_duplicates()
+    def degrees(active) -> dict:
+        df = _pair_degrees(active).to_pandas()
+        return dict(zip(df["node"], df["deg"]))
 
-    alive = set(
-        bucketed_group_apply(
-            pairs.map_batches(node_rows, batch_format="pandas"), "node",
-            lambda df: df.drop_duplicates(),
-        ).to_pandas()["node"]
-    )  # node-bounded driver state
+    deg = degrees(pairs)
+    alive = set(deg)
     core: dict[str, int] = {}
     active = pairs
-    k = 1
+    k = rounds = 1
     while alive:
-        # degrees of the active simple graph (node-bounded output)
-        deg_df = _pair_degrees(active).to_pandas()
-        deg = dict(zip(deg_df["node"], deg_df["deg"]))
         low = {n for n in alive if deg.get(n, 0) < k}
         if not low:
-            k += 1
+            k += 1  # the degrees are unchanged: no new round
             continue
         for n in low:
             core[n] = k - 1
@@ -862,31 +855,30 @@ def kg_kcore(edges_ds, small_edge_limit: int = 2_000_000):
         active = active.map_batches(
             drop_removed, batch_format="pandas"
         ).materialize()  # one-round-deep lineage, like pagerank's ranks
-    return finish(core)
+        deg = degrees(active)
+        rounds += 1
+    return core, rounds
 
 
-def kg_kcore_check(edges_ds, tol_rows: bool = True):
+def kg_kcore_check(edges_ds):
     """Boolean-verdict gate for :func:`kg_kcore` (same pattern as
     :func:`kg_pagerank_check`): the DISTRIBUTED phase-peeling plan
-    (``small_edge_limit=0``) must agree exactly, node for node, with the
-    independent driver-local peeling reference — emitted as literal
-    booleans whose SQL oracle is the edge-endpoint node universe + TRUE
-    (self-loop-only nodes excluded, matching the simple-graph semantics).
-    Integer core numbers make the verdict exact (no ε needed)."""
+    (:func:`_kcore_distributed`) must agree exactly, node for node, with
+    the independent driver-local peeling reference over the same pair
+    table — emitted as literal booleans whose SQL oracle is the
+    edge-endpoint node universe + TRUE (self-loop-only nodes excluded,
+    matching the simple-graph semantics).  Integer core numbers make the
+    verdict exact (no ε needed)."""
     from ..functions.graphs import undirected_pairs
+    from ..functions.grouping import _collect
 
-    distributed = kg_kcore(edges_ds, small_edge_limit=0).to_pandas()
-    ep = undirected_pairs(
-        edges_ds, "src_id", "dst_id", drop_loops=True
-    ).to_pandas()
-    ref = _kcore_local(list(zip(ep["u"], ep["v"])))
+    pairs = undirected_pairs(edges_ds, "src_id", "dst_id", drop_loops=True)
+    got, _ = _kcore_distributed(pairs)
+    ep = _collect(pairs)
+    ref = _kcore_local(zip(ep["u"], ep["v"]))
     nodes = sorted(ref)
-    got = distributed.set_index("entity_id")["core"].reindex(nodes)
-    ok = got.notna() & (got.fillna(-1).astype("int64").to_numpy()
-                        == np.array([ref[n] for n in nodes]))
-    count_ok = bool(len(distributed) == len(nodes))
     return pd.DataFrame({
         "node": nodes,
-        "core_match": ok.to_numpy(),
-        "count_ok": count_ok,
+        "core_match": np.array([got.get(n) == ref[n] for n in nodes], bool),
+        "count_ok": len(got) == len(nodes),
     })

@@ -159,11 +159,6 @@ def predicate_schemas() -> list[dict]:
     return list(by_pred.values())
 
 
-def simple_predicates() -> list[str]:
-    """Predicates whose object has only @value (43 of 48)."""
-    return [s["predicate"] for s in predicate_schemas() if len(s["object_type"]) == 1]
-
-
 def complex_predicates() -> list[str]:
     """N-ary predicates (上映时间, 饰演, 获奖, 配音, 票房)."""
     return [s["predicate"] for s in predicate_schemas() if len(s["object_type"]) > 1]

@@ -316,14 +316,3 @@ def gold_triples_rows(n_convs: int) -> pa.Table:
             rows["object_value"].append(spo["object"]["@value"])
     tbl = pa.Table.from_pydict(rows)
     return tbl.set_column(1, "turn_idx", tbl["turn_idx"].cast(pa.int32()))
-
-
-def gold_spo_lookup(n_convs: int) -> dict[tuple[str, int], list[dict]]:
-    """(conv_id, turn_idx) -> gold spo_list; broadcast to oracle scorers."""
-    out: dict[tuple[str, int], list[dict]] = {}
-    for i in range(n_convs):
-        for j in range(n_turns(i)):
-            spo = fact_for(i, j)
-            if spo is not None:
-                out[(conv_id(i), j)] = [spo]
-    return out

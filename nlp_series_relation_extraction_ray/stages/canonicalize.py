@@ -20,7 +20,6 @@ the sorted distinct observed surfaces, all independent of partitioning.
 from __future__ import annotations
 
 import json
-import unicodedata
 import zlib
 
 import numpy as np
@@ -38,12 +37,6 @@ NODE_SCHEMA = pa.schema(
         ("aliases_json", pa.string()),
     ]
 )
-
-
-def norm_surface(s: str) -> str:
-    """NFKC + casefold + strip book-title brackets and whitespace."""
-    s = unicodedata.normalize("NFKC", s).strip().casefold()
-    return s.strip("《》〈〉　 ")
 
 
 def _salt(conv_id: str) -> int:

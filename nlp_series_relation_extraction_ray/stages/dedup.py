@@ -712,8 +712,7 @@ def embedding_dup_pairs(
 # ---- near-dup clustering (connected components over the pair graph) ------
 
 
-def dup_clusters(docs_ds, pairs_ds, max_iters: int = 25,
-                 small_edge_limit: int = 2_000_000):
+def dup_clusters(docs_ds, pairs_ds):
     """(doc_id, cluster_id) — connected components of the near-dup pair
     graph; ``cluster_id`` is the minimum doc_id in the component (docs in
     no pair are their own singleton cluster).  This is the operator that
@@ -723,12 +722,12 @@ def dup_clusters(docs_ds, pairs_ds, max_iters: int = 25,
     :func:`~..functions.graphs.min_label_components` over the pair graph
     with int64 labels, restricted to PAIR-INCIDENT nodes: near-dups are a
     small fraction of any corpus, so the label table is pair-graph-sized,
-    never corpus-sized.  Up to ``small_edge_limit`` directed edges (the
+    never corpus-sized.  Up to ``graphs.DRIVER_MAX_PAIRS`` pairs (the
     normal dedup regime) union-find runs on the driver; above it,
-    distributed min-label propagation runs for up to ``max_iters`` rounds
-    (extended to a hard cap, then ``RuntimeError``).  One final doc-keyed
-    bucketed reduce attaches the labels to the full doc table (a label is
-    ≤ its doc_id, so the attach is a plain min over {self-row,
+    distributed min-label propagation runs for up to ``graphs.MAX_ITERS``
+    rounds (extended to a hard cap, then ``RuntimeError``).  One final
+    doc-keyed bucketed reduce attaches the labels to the full doc table (a
+    label is ≤ its doc_id, so the attach is a plain min over {self-row,
     label-row}) — the ONLY corpus-wide shuffle in the operator.  Nothing
     corpus-sized touches the driver.
     """
@@ -752,9 +751,7 @@ def dup_clusters(docs_ds, pairs_ds, max_iters: int = 25,
         self_rows, batch_format="pandas"
     )
     labels = min_label_components(
-        pairs_ds.map_batches(as_uv, batch_format="pandas"),
-        max_iters=max_iters, small_edge_limit=small_edge_limit,
-    )
+        pairs_ds.map_batches(as_uv, batch_format="pandas"))
     return bucketed_group_apply(singles.union(labels), "node", take_min)
 
 

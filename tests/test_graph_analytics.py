@@ -1,10 +1,15 @@
 """Graph analytics over the KG edge table: degree-ordered triangle
-counting (`kg_triangles`) and fixed-iteration PageRank (`kg_pagerank`)
-— semantics pinned on hand-built graphs with known answers."""
+counting (`kg_triangles`), fixed-iteration PageRank (`kg_pagerank`) and
+k-core (`kg_kcore`) — semantics pinned on hand-built graphs with known
+answers — and the one graph-plan record every gated operator logs."""
+
+import logging
 
 import numpy as np
 import pandas as pd
 import pytest
+
+from nlp_series_relation_extraction_ray.functions import graphs
 
 
 def _edges_ds(pairs):
@@ -67,22 +72,22 @@ def _pagerank_reference(edges, damping, n_iter):
     return dict(zip(nodes, r))
 
 
-@pytest.mark.parametrize("dense_threshold", [100_000, 0])
-def test_kg_pagerank_matches_dense_reference(ray_session, dense_threshold):
+@pytest.mark.parametrize("dense_max_nodes", [100_000, 0])
+def test_kg_pagerank_matches_dense_reference(ray_session, monkeypatch,
+                                             dense_max_nodes):
     """Distributed fixed-iteration PageRank equals the dense power
     iteration (same damping/iterations/dangling handling) to float
     precision, on a graph with a hub, a dangling node, and a cycle —
     for BOTH physical plans (dense broadcast and shuffle-join fallback,
-    forced via dense_threshold=0)."""
+    forced via DENSE_MAX_NODES=0)."""
     from nlp_series_relation_extraction_ray.pipelines.kg import kg_pagerank
+
+    monkeypatch.setattr(graphs, "DENSE_MAX_NODES", dense_max_nodes)
 
     edges = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "a"),
              ("c", "d"),  # d is dangling (no out-edges)
              ("e", "a"), ("e", "c"), ("a", "b")]  # duplicate edge ignored
-    got = kg_pagerank(
-        _edges_ds(edges), damping=0.85, n_iter=5,
-        dense_threshold=dense_threshold,
-    ).to_pandas()
+    got = kg_pagerank(_edges_ds(edges), damping=0.85, n_iter=5).to_pandas()
     want = _pagerank_reference(edges, 0.85, 5)
     assert set(got["node"]) == set(want)
     for _, row in got.iterrows():
@@ -100,36 +105,39 @@ def test_kg_pagerank_uniform_on_symmetric_cycle(ray_session):
     assert np.allclose(got["rank"], 0.25, atol=1e-12)
 
 
-def test_kg_triangles_distributed_path_matches_local(ray_session):
-    """small_edge_limit=0 forces the 6-stage distributed plan; it must be
+def test_kg_triangles_distributed_path_matches_local(ray_session,
+                                                    monkeypatch):
+    """DRIVER_MAX_PAIRS=0 forces the 6-stage distributed plan; it must be
     value-identical to the size-gated driver-local fast path."""
     from nlp_series_relation_extraction_ray.pipelines.kg import kg_triangles
 
     k4 = [(u, v) for i, u in enumerate("abcd") for v in "abcd"[i + 1:]]
     edges = k4 + [("e", "d"), ("x", "y"), ("y", "z"), ("x", "z")]
     local = kg_triangles(_edges_ds(edges)).to_pandas()
-    dist = kg_triangles(_edges_ds(edges), small_edge_limit=0).to_pandas()
+    monkeypatch.setattr(graphs, "DRIVER_MAX_PAIRS", 0)
+    dist = kg_triangles(_edges_ds(edges)).to_pandas()
     key = lambda df: df.sort_values("node").reset_index(drop=True)
     pd.testing.assert_frame_equal(key(local), key(dist[local.columns]))
 
 
-@pytest.mark.parametrize("small_edge_limit", [2_000_000, 0])
-def test_kg_kcore_known_graph(ray_session, small_edge_limit):
+@pytest.mark.parametrize("driver_max_pairs", [2_000_000, 0])
+def test_kg_kcore_known_graph(ray_session, monkeypatch, driver_max_pairs):
     """K4 {a,b,c,d} is a 3-core; a triangle {d,e,f} hanging off it is a
     2-core; a pendant chain g-h off node a is the 1-core fringe.
     Self-loops and duplicate/reversed edges must not change anything.
     Both physical plans (driver-local peel and distributed phase peeling,
-    forced via small_edge_limit=0) agree."""
+    forced via DRIVER_MAX_PAIRS=0) agree."""
     from nlp_series_relation_extraction_ray.pipelines.kg import kg_kcore
+
+    monkeypatch.setattr(graphs, "DRIVER_MAX_PAIRS", driver_max_pairs)
 
     edges = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
              ("c", "d"),                      # K4
              ("d", "e"), ("e", "f"), ("f", "d"),  # triangle at d
              ("a", "g"), ("g", "h"),          # pendant chain
              ("b", "a"), ("a", "a")]          # reverse dup + self-loop
-    got = kg_kcore(
-        _edges_ds(edges), small_edge_limit=small_edge_limit
-    ).to_pandas().set_index("entity_id")["core"].to_dict()
+    got = kg_kcore(_edges_ds(edges)).to_pandas().set_index(
+        "entity_id")["core"].to_dict()
     want = {"a": 3, "b": 3, "c": 3, "d": 3, "e": 2, "f": 2, "g": 1, "h": 1}
     assert got == want
 
@@ -145,3 +153,113 @@ def test_kg_kcore_check_all_true(ray_session):
     assert len(out) == 5
     assert out["core_match"].all()
     assert bool(out["count_ok"].all())
+
+
+# ---- the graph-plan record ----------------------------------------------
+
+K4_PENDANT = [(u, v) for i, u in enumerate("abcd") for v in "abcd"[i + 1:]
+              ] + [("d", "e")]  # 7 canonical pairs, 5 nodes
+
+
+def _path_pairs():
+    import ray
+
+    return ray.data.from_pandas(
+        pd.DataFrame({"u": [0, 1, 2], "v": [1, 2, 3]}).astype("int64"))
+
+
+def _dup_clusters_path():
+    import ray
+
+    from nlp_series_relation_extraction_ray.stages.dedup import dup_clusters
+
+    docs = ray.data.from_pandas(
+        pd.DataFrame({"doc_id": np.arange(4, dtype=np.int64)}))
+    pairs = ray.data.from_pandas(
+        pd.DataFrame({"doc_a": [0, 1, 2], "doc_b": [1, 2, 3]}).astype("int64"))
+    return dup_clusters(docs, pairs)
+
+
+def _kg(name):
+    from nlp_series_relation_extraction_ray.pipelines import kg
+
+    return lambda: getattr(kg, name)(_edges_ds(K4_PENDANT))
+
+
+# caller -> (gate constant, input count in the constant's unit, the
+# record's op and pairs, the record's rounds on the distributed plan)
+GATED = {
+    "min_label_components": (
+        "DRIVER_MAX_PAIRS", 3, "min_label_components", 3, 3,
+        lambda: graphs.min_label_components(_path_pairs())),
+    "dup_clusters": (
+        "DRIVER_MAX_PAIRS", 3, "min_label_components", 3, 3,
+        _dup_clusters_path),
+    "kg_components": (
+        "DRIVER_MAX_PAIRS", 7, "min_label_components", 7, 2,
+        _kg("kg_components")),
+    "kg_triangles": ("DRIVER_MAX_PAIRS", 7, "kg_triangles", 7, 0,
+                     _kg("kg_triangles")),
+    "kg_kcore": ("DRIVER_MAX_PAIRS", 7, "kg_kcore", 7, 2, _kg("kg_kcore")),
+    # PageRank gates on nodes; its record counts the directed edges
+    "kg_pagerank": ("DENSE_MAX_NODES", 5, "kg_pagerank", 7, 5,
+                    _kg("kg_pagerank")),
+}
+
+
+@pytest.mark.parametrize("below", [0, 1], ids=["at_count", "below_count"])
+@pytest.mark.parametrize("caller", list(GATED))
+def test_graph_plan_record(ray_session, caplog, monkeypatch, caller, below):
+    """Each call logs exactly one graph-plan record.  With the gate
+    constant equal to the input's count the plan is ``driver``; one below
+    it is ``distributed`` — so every pair-based op counts the pairs its
+    record reports, in one unit."""
+    const, count, op, pairs, rounds, run = GATED[caller]
+    monkeypatch.setattr(graphs, const, count - below)
+    logger = graphs.logger.name
+    with caplog.at_level(logging.INFO, logger=logger):
+        run().materialize()
+    recs = [r.stats for r in caplog.records
+            if r.name == logger and hasattr(r, "stats")]
+    plan = "distributed" if below else "driver"
+    if caller != "kg_pagerank" and not below:
+        rounds = 0  # only PageRank iterates on the driver plan
+    assert recs == [{"op": op, "plan": plan, "pairs": pairs,
+                     "rounds": rounds}]
+
+
+def _count_executions(monkeypatch):
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    calls = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    return calls
+
+
+@pytest.mark.parametrize("check, fewer_than", [
+    ("kg_kcore_check", 17), ("kg_pagerank_check", 23),
+])
+def test_checks_build_their_input_once(ray_session, monkeypatch, check,
+                                       fewer_than):
+    """Each check builds its pair or adjacency table once and runs the
+    distributed kernel on it directly, so it starts fewer Ray Data
+    executions than the 17 (k-core) and 23 (PageRank) of the version that
+    rebuilt the table for its reference (and, for PageRank, ran the dense
+    plan's degree pass first); its verdicts stay all TRUE."""
+    from nlp_series_relation_extraction_ray.pipelines import kg
+
+    edges = _edges_ds([("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"),
+                       ("d", "e")])
+    calls = _count_executions(monkeypatch)
+    out = getattr(kg, check)(edges)
+    assert len(calls) < fewer_than
+    assert len(out) == 5
+    assert out.drop(columns="node").all().all()

@@ -12,6 +12,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from nlp_series_relation_extraction_ray.functions import graphs
+
 
 @pytest.fixture(autouse=True)
 def _distributed_merges(monkeypatch):
@@ -54,12 +56,20 @@ CALLERS = pytest.mark.parametrize(
 )
 
 
+def _force_propagation(m, max_iters=graphs.MAX_ITERS):
+    """Gate 0 forces the distributed plan for any non-empty pair input."""
+    m.setattr(graphs, "DRIVER_MAX_PAIRS", 0)
+    m.setattr(graphs, "MAX_ITERS", max_iters)
+
+
 @CALLERS
-def test_budget_extends_past_max_iters(ray_session, caplog, components):
-    """max_iters=1 is below the 5-node path's diameter (4 rounds): the loop
+def test_budget_extends_past_max_iters(ray_session, caplog, monkeypatch,
+                                       components):
+    """MAX_ITERS=1 is below the 5-node path's diameter (4 rounds): the loop
     warns, extends, and still equals the union-find plan."""
-    with caplog.at_level(logging.WARNING):
-        dist = components(5, max_iters=1, small_edge_limit=0)
+    with monkeypatch.context() as m, caplog.at_level(logging.WARNING):
+        _force_propagation(m, max_iters=1)
+        dist = components(5)
     assert dist == components(5)
     assert len(set(dist.values())) == 1
     assert any("no fixpoint after max_iters=1" in r.getMessage()
@@ -67,10 +77,11 @@ def test_budget_extends_past_max_iters(ray_session, caplog, components):
 
 
 @CALLERS
-def test_budget_hard_cap_raises(ray_session, components):
-    """A 10-node path needs 9 rounds; max_iters=1 caps the loop at 8."""
+def test_budget_hard_cap_raises(ray_session, monkeypatch, components):
+    """A 10-node path needs 9 rounds; MAX_ITERS=1 caps the loop at 8."""
+    _force_propagation(monkeypatch, max_iters=1)
     with pytest.raises(RuntimeError, match="within 8 rounds"):
-        components(10, max_iters=1, small_edge_limit=0)
+        components(10)
 
 
 def _stats(caplog):
@@ -80,9 +91,9 @@ def _stats(caplog):
     return recs[0].stats
 
 
-def test_components_stats_record(ray_session, caplog):
-    """One record per call: plan, directed edge count, rounds run — the
-    4-node path converges in 3 rounds (its diameter)."""
+def test_components_stats_record(ray_session, caplog, monkeypatch):
+    """One record per call: op, plan, pair count, rounds run — the 4-node
+    path converges in 3 rounds (its diameter)."""
     import ray
 
     from nlp_series_relation_extraction_ray.functions.graphs import (
@@ -92,15 +103,17 @@ def test_components_stats_record(ray_session, caplog):
     pairs = ray.data.from_pandas(
         pd.DataFrame({"u": [0, 1, 2], "v": [1, 2, 3]}).astype("int64"))
     logger = "nlp_series_relation_extraction_ray.functions.graphs"
-    with caplog.at_level(logging.INFO, logger=logger):
-        dist = min_label_components(pairs, small_edge_limit=0).to_pandas()
-    assert _stats(caplog) == {
-        "plan": "distributed", "directed_edges": 6, "rounds": 3}
+    with monkeypatch.context() as m, \
+            caplog.at_level(logging.INFO, logger=logger):
+        _force_propagation(m)
+        dist = min_label_components(pairs).to_pandas()
+    assert _stats(caplog) == {"op": "min_label_components",
+                              "plan": "distributed", "pairs": 3, "rounds": 3}
     caplog.clear()
     with caplog.at_level(logging.INFO, logger=logger):
         local = min_label_components(pairs).to_pandas()
-    assert _stats(caplog) == {
-        "plan": "driver", "directed_edges": 6, "rounds": 0}
+    assert _stats(caplog) == {"op": "min_label_components",
+                              "plan": "driver", "pairs": 3, "rounds": 0}
     assert sorted(zip(dist["node"], dist["label"])) == [
         (n, 0) for n in range(4)]
     assert local["label"].tolist() == [0, 0, 0, 0]
@@ -124,10 +137,11 @@ def test_undirected_pairs_canonical_distinct(ray_session, drop_loops):
     assert got == sorted(want)
 
 
-@pytest.mark.parametrize("small_edge_limit", [2_000_000, 0])
-def test_empty_int_pairs_give_int64_labels(ray_session, small_edge_limit):
+@pytest.mark.parametrize("driver_max_pairs", [2_000_000, 0])
+def test_empty_int_pairs_give_int64_labels(ray_session, monkeypatch,
+                                           driver_max_pairs):
     """A typed empty int64 pair input keeps int64 ``(node, label)``
-    columns, at the default gate and at the gate that forces the
+    columns, at a gate above the input and at the gate that forces the
     distributed plan for any non-empty input (an empty input has nothing
     to propagate, so both run union-find on the driver)."""
     import ray
@@ -139,10 +153,10 @@ def test_empty_int_pairs_give_int64_labels(ray_session, small_edge_limit):
         _collect,
     )
 
+    monkeypatch.setattr(graphs, "DRIVER_MAX_PAIRS", driver_max_pairs)
     pairs = ray.data.from_pandas(
         pd.DataFrame({"u": [], "v": []}).astype("int64"))
-    got = _collect(min_label_components(
-        pairs, small_edge_limit=small_edge_limit).materialize())
+    got = _collect(min_label_components(pairs).materialize())
     assert got.empty
     assert dict(got.dtypes) == {"node": np.dtype("int64"),
                                 "label": np.dtype("int64")}

@@ -34,13 +34,15 @@ def test_kg_components_driver_local(ray_session):
     assert dict(zip(got["entity_id"], got["component_id"])) == EXPECTED
 
 
-def test_kg_components_distributed_matches_local(ray_session):
-    """small_edge_limit=0 forces the string-label propagation plan; it must
+def test_kg_components_distributed_matches_local(ray_session, monkeypatch):
+    """DRIVER_MAX_PAIRS=0 forces the string-label propagation plan; it must
     be value-identical to the union-find fast path (incl. the multi-hop
     chain, which needs >1 propagation round)."""
+    from nlp_series_relation_extraction_ray.functions import graphs
     from nlp_series_relation_extraction_ray.pipelines.kg import kg_components
 
-    dist = kg_components(_edges_ds(EDGES), small_edge_limit=0).to_pandas()
+    monkeypatch.setattr(graphs, "DRIVER_MAX_PAIRS", 0)
+    dist = kg_components(_edges_ds(EDGES)).to_pandas()
     assert dict(zip(dist["entity_id"], dist["component_id"])) == EXPECTED
 
 

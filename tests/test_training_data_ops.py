@@ -150,6 +150,48 @@ def test_knn_ivf_recall(embs):
     assert np.mean(recalls) >= 0.8
 
 
+def test_ivf_index_dir_keyed_on_similarity_source(tmp_path, monkeypatch):
+    """A corpus's on-disk IVF index is reused while
+    ``stages/similarity.py`` is unchanged, and a changed source gives a
+    fresh directory that is built anew (the build is faked; the corpus
+    path is this test's own, so no real index directory is touched)."""
+    import os
+    import shutil
+    from pathlib import Path
+
+    import __ray_entry__ as entry
+    from nlp_series_relation_extraction_ray.stages import similarity
+
+    built = []
+
+    def fake_build(embs, index_dir):
+        os.makedirs(index_dir)
+        np.save(os.path.join(index_dir, "centroids.npy"), np.zeros(1))
+        built.append(index_dir)
+
+    monkeypatch.setattr(similarity, "build_ivf_index", fake_build)
+    monkeypatch.setattr(entry, "_embs", lambda sf_dir: None)
+    sf_dir = str(tmp_path / "sf")
+    source = Path(similarity.__file__).read_bytes()
+
+    def index_dir(src: bytes) -> str:
+        copy = tmp_path / "similarity.py"
+        copy.write_bytes(src)
+        monkeypatch.setattr(similarity, "__file__", str(copy))
+        entry._SHARED_CACHE.pop(("ivf_index", sf_dir), None)
+        return entry._ivf_index_dir(sf_dir)
+
+    try:
+        first = index_dir(source)
+        assert index_dir(source) == first and built == [first]
+        changed = index_dir(source + b"\n# changed\n")
+        assert changed != first and built == [first, changed]
+    finally:
+        entry._SHARED_CACHE.pop(("ivf_index", sf_dir), None)
+        for d in built:
+            shutil.rmtree(d, ignore_errors=True)
+
+
 def test_knn_ivf_partitioned_prunes_and_matches(embs, tmp_path):
     """The physically partitioned IVF index must (a) return exactly the
     in-memory IVF result for the same centroids and (b) open only the
@@ -570,11 +612,27 @@ def test_dup_clusters_multihop_chain(ray_session):
     assert dict(zip(got["doc_id"], got["cluster_id"])) == want
 
 
-def test_dup_clusters_empty_pairs(ray_session):
+def test_dup_clusters_empty_pairs(ray_session, monkeypatch):
+    """No pairs: every doc is its own cluster, and the label table that
+    reaches the union with the int64 self rows is int64 too, at the
+    default gate and at the gate that forces the distributed plan."""
     import ray
 
+    from nlp_series_relation_extraction_ray.functions import graphs
+    from nlp_series_relation_extraction_ray.functions.grouping import (
+        _collect,
+    )
     from nlp_series_relation_extraction_ray.stages.dedup import dup_clusters
 
+    components = graphs.min_label_components
+    labels = []
+
+    def spy(pairs_ds):
+        out = components(pairs_ds).materialize()
+        labels.append(_collect(out))
+        return out
+
+    monkeypatch.setattr(graphs, "min_label_components", spy)
     docs = ray.data.from_pandas(
         pd.DataFrame({"doc_id": np.arange(5, dtype=np.int64)})
     )
@@ -582,8 +640,15 @@ def test_dup_clusters_empty_pairs(ray_session):
         pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
                       "doc_b": pd.Series([], dtype="int64")})
     )
-    got = dup_clusters(docs, pairs).to_pandas()
-    assert (got["doc_id"] == got["cluster_id"]).all() and len(got) == 5
+    for driver_max_pairs in (graphs.DRIVER_MAX_PAIRS, 0):
+        monkeypatch.setattr(graphs, "DRIVER_MAX_PAIRS", driver_max_pairs)
+        got = dup_clusters(docs, pairs).to_pandas()
+        assert (got["doc_id"] == got["cluster_id"]).all() and len(got) == 5
+    assert len(labels) == 2
+    for frame in labels:
+        assert frame.empty
+        assert dict(frame.dtypes) == {"node": np.dtype("int64"),
+                                      "label": np.dtype("int64")}
 
 
 def test_dedup_keep_apply_step(ray_session):
@@ -763,11 +828,13 @@ def test_pii_redact_planted(docs):
             assert row["n_emails"] == 0 and row["n_ips"] == 0
 
 
-def test_dup_clusters_distributed_path_matches_fast(ray_session):
-    """small_edge_limit=0 forces the shuffle-round propagation loop; it
+def test_dup_clusters_distributed_path_matches_fast(ray_session,
+                                                   monkeypatch):
+    """DRIVER_MAX_PAIRS=0 forces the shuffle-round propagation loop; it
     must match the union-find fast path on a multi-hop chain graph."""
     import ray
 
+    from nlp_series_relation_extraction_ray.functions import graphs
     from nlp_series_relation_extraction_ray.stages.dedup import dup_clusters
 
     docs = ray.data.from_pandas(
@@ -779,7 +846,8 @@ def test_dup_clusters_distributed_path_matches_fast(ray_session):
         ).astype("int64")
     )
     fast = dup_clusters(docs, pairs).to_pandas()
-    dist = dup_clusters(docs, pairs, small_edge_limit=0).to_pandas()
+    monkeypatch.setattr(graphs, "DRIVER_MAX_PAIRS", 0)
+    dist = dup_clusters(docs, pairs).to_pandas()
     key = lambda df: df.sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(key(fast), key(dist))
 
