@@ -1,14 +1,19 @@
 """Cluster job entrypoint for `ray job submit`.
 
-Production invocation on a multi-node cluster (north_rule shape):
+Production invocation on a multi-node cluster (north_rule shape), with
+``--input`` and ``--output`` on a filesystem every node mounts (the
+checkpoint manifests are written with local file I/O):
 
     ray job submit --address http://<head>:8265 \
       --working-dir . -- python jobs/kg_job.py \
-      --input s3://corpus/transcripts/ --output s3://corpus/kg/ \
+      --input /mnt/corpus/transcripts/ --output /mnt/corpus/kg/ \
       --head baseline --partitions 4096
 
 The job attaches to the running cluster (`ray.init(address="auto")`), runs
-the resumable partitioned KG build, and prints per-partition metrics JSON.
+the resumable partitioned KG build (`pipelines/kg.py::build_kg_resumable`:
+extraction over at most ``--partitions`` groups of the input's Parquet
+files, then nodes and edges), and prints the per-stage, per-partition
+metrics JSON.  Resubmitting the same job skips every finished partition.
 Run the identical job on an N-node and a 4N-node cluster to measure
 scaling efficiency (the single-node stand-in lives in `bench.py
 --scaling`; see BASELINE.md for the measured evidence and control
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -31,8 +37,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 def main(argv=None) -> dict:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--input", default="synthetic:2000",
-                    help="transcript parquet dir, or synthetic:N")
+    ap.add_argument("--input", required=True,
+                    help="transcript Parquet directory")
     ap.add_argument("--output", required=True)
     ap.add_argument("--head", default="baseline",
                     choices=["baseline", "mpn", "mhs", "biaffine"])
@@ -42,51 +48,19 @@ def main(argv=None) -> dict:
     import ray
 
     if not ray.is_initialized():
-        import os
-
-        if os.environ.get("RAY_ADDRESS"):
-            # on a cluster (ray job submit sets RAY_ADDRESS): attach to head
+        try:
             ray.init(address="auto", ignore_reinit_error=True)
-        else:
-            try:
-                ray.init(address="auto", ignore_reinit_error=True)
-            except ConnectionError:
-                ray.init(ignore_reinit_error=True)  # local session fallback
+        except ConnectionError:
+            if os.environ.get("RAY_ADDRESS"):
+                raise  # ray job submit named a cluster: never run locally
+            ray.init(ignore_reinit_error=True)  # local session fallback
 
-    if args.input.startswith("synthetic:"):
-        from nlp_series_relation_extraction_ray.state.checkpoint import (
-            run_partitioned_extraction,
-        )
+    from nlp_series_relation_extraction_ray.pipelines.kg import (
+        build_kg_resumable,
+    )
 
-        summary = run_partitioned_extraction(
-            int(args.input.split(":", 1)[1]), args.output,
-            head=args.head, n_partitions=args.partitions,
-        )
-    else:
-        from nlp_series_relation_extraction_ray.pipelines.extract import (
-            extract_triples,
-        )
-        from nlp_series_relation_extraction_ray.state.checkpoint import (
-            run_partitioned,
-        )
-
-        files = sorted(str(p) for p in Path(args.input).glob("*.parquet"))
-        step = max(1, len(files) // args.partitions)
-        shards = [files[i : i + step] for i in range(0, len(files), step)]
-
-        def run_part(spec):
-            ds = ray.data.read_parquet(
-                spec["files"], columns=["conv_id", "turn_idx", "text"]
-            )
-            return extract_triples(ds, head=args.head)
-
-        summary = run_partitioned(
-            args.output,
-            [{"kind": "parquet_shard", "files": s, "head": args.head}
-             for s in shards],
-            run_part,
-            stage=f"triples-{args.head}",
-        )
+    summary = build_kg_resumable(args.input, args.output, head=args.head,
+                                 n_partitions=args.partitions)["summary"]
     print(json.dumps(summary))
     return summary
 

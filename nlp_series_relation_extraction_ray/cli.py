@@ -10,19 +10,18 @@ Where the reference wires four near-identical run scripts
         --input synthetic:2000 --output /tmp/kg
     python -m nlp_series_relation_extraction_ray.cli eval --head baseline \
         --input synthetic:500
-    python -m nlp_series_relation_extraction_ray.cli resume \
-        --n-convs 5000 --output /tmp/ckpt --partitions 16
 
 ``--input`` is either ``synthetic:N`` (the deterministic fixture corpus) or
 a path to transcript Parquet with the input_hint schema.  Owns its Ray
 session (guarded init — safe under an externally initialised driver too).
+``extract`` and ``kg`` replace what ``--output`` held; the KG build that
+resumes after a kill is ``jobs/kg_job.py`` (``build_kg_resumable``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import sys
 
 
 def _ensure_ray():
@@ -48,7 +47,7 @@ def cmd_extract(args) -> None:
     from .pipelines.extract import extract_triples
 
     ds = extract_triples(_load_input(args.input), head=args.head)
-    ds.write_parquet(args.output)
+    ds.write_parquet(args.output, mode="overwrite")
     print(json.dumps({"head": args.head, "output": args.output}))
 
 
@@ -84,17 +83,6 @@ def cmd_eval(args) -> None:
     print(json.dumps(evaluate_triples(triples, _synthetic_gold, total_gold)))
 
 
-def cmd_resume(args) -> None:
-    from .state.checkpoint import run_partitioned_extraction
-
-    _ensure_ray()
-    summary = run_partitioned_extraction(
-        args.n_convs, args.output, head=args.head,
-        n_partitions=args.partitions,
-    )
-    print(json.dumps(summary))
-
-
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(prog="nlp_series_relation_extraction_ray")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -114,14 +102,6 @@ def main(argv=None) -> None:
 
     p = sub.add_parser("eval", parents=[common])
     p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("resume")
-    p.add_argument("--head", default="baseline",
-                   choices=["baseline", "mpn", "mhs", "biaffine"])
-    p.add_argument("--n-convs", type=int, required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--partitions", type=int, default=8)
-    p.set_defaults(fn=cmd_resume)
 
     args = ap.parse_args(argv)
     args.fn(args)

@@ -80,8 +80,7 @@ def shuffle_join(left_ds, right_ds, on, l_cols=None, r_cols=None):
     upstream runs twice.  Small sides are joined on the driver; larger ones
     are unioned with a side tag and hash-bucketed on the key, and each
     bucket joins every key in it at once.  ``on`` may be one column or a
-    list (composite keys — e.g. the (key, salt) pair of
-    :func:`salted_shuffle_join`).
+    list (composite keys).
     """
     import ray
 
@@ -174,73 +173,3 @@ def cents(x: np.ndarray | pd.Series) -> np.ndarray:
     """
     arr = np.asarray(x, dtype=np.float64)
     return np.floor(arr * 100.0 + 0.5).astype(np.int64)
-
-
-def salted_shuffle_join(
-    left_ds,
-    right_ds,
-    on: str,
-    hot_keys,
-    n_salt: int = 8,
-    l_cols=None,
-    r_cols=None,
-):
-    """:func:`shuffle_join` with HOT-KEY SALTING: rows of ``hot_keys``
-    (the handful of keys that dominate the distribution — a viral user, a
-    default value) spread across ``n_salt`` sub-partitions instead of all
-    landing on one reducer.
-
-    Classic asymmetric salting, expressed through the composite-key
-    shuffle join: LEFT hot rows take a round-robin salt (the salt only
-    chooses WHERE a pair is computed, never WHETHER — output is
-    partition-invariant), RIGHT hot rows replicate to every salt, and the
-    join key becomes ``(on, __salt)`` — each (left row, right row) pair
-    meets in exactly one salt cell, so the result is identical to the
-    unsalted join with no post-filtering.  Non-hot rows keep salt 0 and
-    pay nothing.  Replication cost = #right-hot-rows × ``n_salt``; salt
-    the side with FEWER hot rows by swapping arguments.
-
-    ``hot_keys`` comes from a cheap pre-count (e.g. the Misra–Gries
-    heavy-hitter sketch, ``functions/sketches.py``) — the same detection
-    the salted sessionizer uses.
-    """
-    if l_cols is not None:
-        left_ds = left_ds.select_columns(list(dict.fromkeys([on] + l_cols)))
-    if r_cols is not None:
-        right_ds = right_ds.select_columns(
-            list(dict.fromkeys([on] + r_cols))
-        )
-    hot = set(hot_keys)
-
-    def salt_left(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__salt"] = np.int32(0)
-        m = df[on].isin(hot).to_numpy()
-        df.loc[m, "__salt"] = (
-            np.arange(int(m.sum())) % n_salt
-        ).astype("int32")
-        return df
-
-    def replicate_right(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__salt"] = np.int32(0)
-        m = df[on].isin(hot)
-        if not m.any():
-            return df
-        cold = df[~m]
-        hot_rows = df[m].drop(columns="__salt")
-        reps = []
-        for sdx in range(n_salt):
-            r = hot_rows.copy()
-            r["__salt"] = np.int32(sdx)
-            reps.append(r)
-        return pd.concat([cold] + reps, ignore_index=True)
-
-    joined = shuffle_join(
-        left_ds.map_batches(salt_left, batch_format="pandas"),
-        right_ds.map_batches(replicate_right, batch_format="pandas"),
-        on=[on, "__salt"],
-    )
-    return joined.map_batches(
-        lambda df: df.drop(columns="__salt"), batch_format="pandas"
-    )

@@ -8,9 +8,11 @@ extractor (``extract_triples``), fused with the read.
 
 Stage boundaries are Parquet directories: ``out_dir/triples``,
 ``out_dir/nodes``, ``out_dir/edges``.  Triples are written once and re-read by
-the two downstream consumers — re-reading a checkpoint beats re-executing the
-extraction lineage twice, and the checkpoint is what makes a rerun resumable
-(``state/checkpoint.py``).
+the two downstream consumers — re-reading them beats re-executing the
+extraction lineage twice.  ``build_kg`` runs the stages in one session;
+``build_kg_resumable`` runs them over transcript Parquet shards with the
+manifest checkpoints of ``state/checkpoint.py``, so a rerun skips the
+partitions that finished.
 
 Also hosts conversation reconstruction (G3): a ``conv_id``-keyed merge +
 intra-group sort by ``turn_idx`` — the stage that witnesses the per-turn text
@@ -91,12 +93,14 @@ def kg_edges(triples_ds, alias_index_ref=None):
 
 
 def build_kg(transcripts_ds, head: str = "baseline", out_dir: str | None = None):
-    """Run the full pipeline; returns {triples, nodes, edges} Datasets.
+    """Run the full pipeline in one session; returns {triples, nodes, edges}
+    Datasets.
 
-    With ``out_dir`` set, each stage is checkpointed to
-    ``{out_dir}/<name>`` Parquet and downstream stages read the
-    checkpoint (the resumable production shape); without it everything stays
-    in-memory lineage (tests).
+    With ``out_dir`` set, each stage is written to ``{out_dir}/<name>``
+    Parquet, replacing what an earlier run left there, and downstream stages
+    read it back; without it everything stays in-memory lineage (tests).
+    Nothing is skipped on a rerun: :func:`build_kg_resumable` is the build
+    that resumes.
     """
     import ray
 
@@ -105,7 +109,8 @@ def build_kg(transcripts_ds, head: str = "baseline", out_dir: str | None = None)
     triples = extract_triples(transcripts_ds, head=head)
     if out_dir:
         triples_dir = f"{out_dir}/triples"
-        triples.write_parquet(triples_dir)
+        # Ray appends by default: a rerun would add a second copy
+        triples.write_parquet(triples_dir, mode="overwrite")
         # metadata-free re-read: pandas footer metadata makes the fragment
         # schemas unhashable (Ray then logs "Failed to hash the schemas"
         # and loses its schema-dedup fast path on every downstream stage)
@@ -120,84 +125,76 @@ def build_kg(transcripts_ds, head: str = "baseline", out_dir: str | None = None)
     if out_dir:
         nodes_dir = f"{out_dir}/nodes"
         edges_dir = f"{out_dir}/edges"
-        nodes.write_parquet(nodes_dir)
-        edges.write_parquet(edges_dir)
+        nodes.write_parquet(nodes_dir, mode="overwrite")
+        edges.write_parquet(edges_dir, mode="overwrite")
         nodes = read_parquet_clean(nodes_dir)
         edges = read_parquet_clean(edges_dir)
     return {"triples": triples, "nodes": nodes, "edges": edges}
 
 
-def build_kg_resumable(
-    n_convs: int,
-    out_dir: str,
-    head: str = "baseline",
-    n_partitions: int = 8,
-) -> dict:
-    """Flagship KG job with partition-granular resume at EVERY stage
-    (extract → link/canonicalize → graph), replacing the plain
-    ``write_parquet`` of :func:`build_kg` with manifest-checkpointed
-    partitions (``state/checkpoint.py``): a killed run reruns only the
-    partitions whose manifest is missing or stale.
+def build_kg_resumable(paths, out_dir: str, head: str = "baseline",
+                       n_partitions: int = 8) -> dict:
+    """The KG build over transcript Parquet (a directory or a list of
+    files) with partition-granular resume at every stage (extract →
+    link/canonicalize → graph), through the manifest checkpoints of
+    ``state/checkpoint.py``: a killed run reruns only the partitions whose
+    manifest is missing or stale.
 
-    Stage lineage chains: the nodes/edges specs embed every extraction
-    partition's input fingerprint, so a changed extraction (different
-    head, corpus, engine version) invalidates the downstream checkpoints
-    while an unchanged rerun skips all three stages.  Nodes/edges are
-    global reduces over the full triples table, so each is one logical
-    partition at this granularity (their shuffles parallelize internally);
-    at cluster scale the extraction stage carries the partition fan-out.
+    The sorted file list is split into at most ``n_partitions`` extraction
+    partitions.  Each partition's spec holds its file paths and byte sizes,
+    ``head`` and the engine tag, so a rewritten shard reruns.  The nodes
+    and edges specs embed every extraction partition's fingerprint, so a
+    changed extraction invalidates them while an unchanged rerun skips all
+    three stages.  Nodes and edges are global reduces over the full triples
+    table, so each is one partition (their shuffles parallelize
+    internally).  Returns ``{summary, triples, nodes, edges}``, the summary
+    keyed by ``extract``/``nodes``/``edges``.
     """
-    import json as _json
+    import os
 
     import ray
 
     from ..sources.kb import build_alias_index
+    from ..sources.readers import parquet_files, read_parquet_clean
+    from ..stages.base import TURN_COLUMNS
     from ..state.checkpoint import (
-        manifest_path,
+        fingerprint,
+        partition_ranges,
         read_all_partitions,
         run_partitioned,
-        run_partitioned_extraction,
     )
+
+    files = parquet_files(paths)
+    if not files:
+        # zero partitions would clear every checkpoint under out_dir
+        raise ValueError(f"no Parquet files in {paths!r}")
+    specs = [
+        {"kind": "parquet_shard", "files": files[lo:hi],
+         "bytes": [os.path.getsize(f) for f in files[lo:hi]],
+         "head": head, "engine": "v1"}
+        for lo, hi in partition_ranges(len(files), n_partitions)
+    ]
+
+    def run_extract(spec: dict):
+        return extract_triples(
+            read_parquet_clean(spec["files"], columns=TURN_COLUMNS), head=head)
 
     triples_dir = f"{out_dir}/triples"
-    s_extract = run_partitioned_extraction(
-        n_convs, triples_dir, head=head, n_partitions=n_partitions
-    )
-
-    # downstream lineage = the ordered extraction fingerprints
-    upstream_fps = []
-    for part in range(len(s_extract["partitions"])):
-        with open(manifest_path(triples_dir, part)) as f:
-            upstream_fps.append(_json.load(f)["input_fingerprint"])
-
+    summary = {"extract": run_partitioned(triples_dir, specs, run_extract,
+                                          stage=f"triples-{head}")}
+    upstream = [fingerprint(spec) for spec in specs]
     alias_ref = ray.put(build_alias_index())
-
-    def run_nodes(spec: dict):
-        return kg_nodes(
-            read_all_partitions(triples_dir), alias_index_ref=alias_ref
+    for stage, build in (("nodes", kg_nodes), ("edges", kg_edges)):
+        summary[stage] = run_partitioned(
+            f"{out_dir}/{stage}",
+            [{"kind": f"kg_{stage}", "head": head, "upstream": upstream}],
+            lambda spec, build=build: build(read_all_partitions(triples_dir),
+                                            alias_index_ref=alias_ref),
+            stage=stage,
         )
-
-    def run_edges(spec: dict):
-        return kg_edges(
-            read_all_partitions(triples_dir), alias_index_ref=alias_ref
-        )
-
-    s_nodes = run_partitioned(
-        f"{out_dir}/nodes",
-        [{"kind": "kg_nodes", "head": head, "upstream": upstream_fps}],
-        run_nodes, stage="nodes",
-    )
-    s_edges = run_partitioned(
-        f"{out_dir}/edges",
-        [{"kind": "kg_edges", "head": head, "upstream": upstream_fps}],
-        run_edges, stage="edges",
-    )
-    return {
-        "summary": {"extract": s_extract, "nodes": s_nodes, "edges": s_edges},
-        "triples": read_all_partitions(triples_dir),
-        "nodes": read_all_partitions(f"{out_dir}/nodes"),
-        "edges": read_all_partitions(f"{out_dir}/edges"),
-    }
+    return {"summary": summary,
+            **{name: read_all_partitions(f"{out_dir}/{name}")
+               for name in ("triples", "nodes", "edges")}}
 
 
 def kg_node_degrees(edges_ds):

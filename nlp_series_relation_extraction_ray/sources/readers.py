@@ -13,17 +13,18 @@ nothing downstream ever sees an unhashable schema.
 from __future__ import annotations
 
 
-def _first_parquet_file(paths):
+def parquet_files(paths) -> list[str]:
+    """Sorted Parquet files of ``paths``: a file, a directory (searched
+    recursively) or a list of either."""
     import glob
     import os
 
-    p = paths[0] if isinstance(paths, (list, tuple)) else paths
-    if os.path.isdir(p):
-        hits = sorted(
-            glob.glob(os.path.join(p, "**", "*.parquet"), recursive=True)
-        )
-        return hits[0] if hits else None
-    return p
+    files: list[str] = []
+    for p in paths if isinstance(paths, (list, tuple)) else [paths]:
+        p = os.fspath(p)
+        files += (glob.glob(os.path.join(p, "**", "*.parquet"), recursive=True)
+                  if os.path.isdir(p) else [p])
+    return sorted(files)
 
 
 def read_parquet_clean(paths, *, columns=None, **kwargs):
@@ -32,10 +33,10 @@ def read_parquet_clean(paths, *, columns=None, **kwargs):
     import ray
 
     if "schema" not in kwargs:
-        f = _first_parquet_file(paths)
-        if f is not None:
+        files = parquet_files(paths)
+        if files:
             try:
-                sch = pq.read_schema(f).remove_metadata()
+                sch = pq.read_schema(files[0]).remove_metadata()
                 if columns is not None:
                     # the read projects to `columns`; the explicit schema
                     # must describe the projected table, not the file

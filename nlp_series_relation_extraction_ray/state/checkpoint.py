@@ -14,9 +14,11 @@ matches is SKIPPED (its parquet is reused), so a killed run resumes from the
 last completed partition.  Output is never one giant file; downstream reads
 ``out_dir/part-*/data``.
 
-At cluster scale each partition is an independent sub-job over a key range /
-file shard, so retries and resumes are partition-granular rather than
-whole-job (the reference restarts the entire run on any crash, SURVEY §4).
+``pipelines/kg.py::build_kg_resumable`` runs the KG build through it: one
+partition per group of transcript Parquet files, then nodes and edges
+chained on those partitions' fingerprints.  Retries and resumes are
+partition-granular rather than whole-job (the reference restarts the entire
+run on any crash, SURVEY §4).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import os
 import time
 
 
-def _fingerprint(payload: dict) -> str:
+def fingerprint(payload: dict) -> str:
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()
     ).hexdigest()[:32]
@@ -49,7 +51,7 @@ def manifest_path(out_dir: str, part: int) -> str:
     return os.path.join(out_dir, f"part-{part:04d}", "MANIFEST.json")
 
 
-def is_partition_done(out_dir: str, part: int, fingerprint: str) -> bool:
+def is_partition_done(out_dir: str, part: int, fp: str) -> bool:
     path = manifest_path(out_dir, part)
     if not os.path.exists(path):
         return False
@@ -58,7 +60,7 @@ def is_partition_done(out_dir: str, part: int, fingerprint: str) -> bool:
             manifest = json.load(f)
     except (OSError, json.JSONDecodeError):
         return False
-    return manifest.get("input_fingerprint") == fingerprint and manifest.get(
+    return manifest.get("input_fingerprint") == fp and manifest.get(
         "status"
     ) == "complete"
 
@@ -88,7 +90,7 @@ def run_partitioned(
             shutil.rmtree(d, ignore_errors=True)
     summary = {"stage": stage, "partitions": [], "skipped": 0, "ran": 0}
     for part, spec in enumerate(partitions):
-        fp = _fingerprint(spec)
+        fp = fingerprint(spec)
         part_dir = os.path.join(out_dir, f"part-{part:04d}")
         data_dir = os.path.join(part_dir, "data")
         if is_partition_done(out_dir, part, fp):
@@ -96,14 +98,8 @@ def run_partitioned(
             summary["partitions"].append({"part": part, "status": "skipped"})
             continue
         t0 = time.time()
-        # clear any partial output from a killed run before recomputing
-        if os.path.exists(data_dir):
-            for f in glob.glob(os.path.join(data_dir, "*")):
-                os.remove(f)
-        ds = run_partition(spec)
-        ds.write_parquet(data_dir)
-        import ray
-
+        # overwrite: drops any partial output of a killed run
+        run_partition(spec).write_parquet(data_dir, mode="overwrite")
         rows_out = read_parquet_clean(data_dir).count()
         wall = time.time() - t0
         os.makedirs(part_dir, exist_ok=True)
@@ -136,8 +132,6 @@ def read_all_partitions(out_dir: str):
     """
     import re
 
-    import ray
-
     files: list[str] = []
     for d in sorted(glob.glob(os.path.join(out_dir, "part-*"))):
         m = re.fullmatch(r"part-(\d+)", os.path.basename(d))
@@ -152,35 +146,3 @@ def read_all_partitions(out_dir: str):
         if manifest.get("status") == "complete":
             files.extend(sorted(glob.glob(os.path.join(d, "data", "*.parquet"))))
     return read_parquet_clean(files)
-
-
-def run_partitioned_extraction(
-    n_convs: int,
-    out_dir: str,
-    head: str = "baseline",
-    n_partitions: int = 8,
-) -> dict:
-    """Resumable triple extraction over the synthetic transcript corpus,
-    partitioned by conversation-index range (the pipeline's partition key)."""
-    from ..pipelines.extract import extract_triples
-    from ..sources.transcripts import transcripts_dataset
-
-    def run_part(spec: dict):
-        lo, hi = spec["conv_lo"], spec["conv_hi"]
-        import ray
-
-        from ..sources.transcripts import transcripts_block
-
-        def gen(batch):
-            ids = [int(x) + lo for x in batch["id"].to_pylist()]
-            return transcripts_block(ids)
-
-        ds = ray.data.range(hi - lo).map_batches(gen, batch_format="pyarrow")
-        return extract_triples(ds, head=head)
-
-    partitions = [
-        {"kind": "synthetic_transcripts", "conv_lo": lo, "conv_hi": hi,
-         "head": head, "engine": "v1"}
-        for lo, hi in partition_ranges(n_convs, n_partitions)
-    ]
-    return run_partitioned(out_dir, partitions, run_part, stage=f"triples-{head}")

@@ -189,16 +189,33 @@ def test_linking_alias_and_ambiguity():
 
 
 def test_kg_determinism(ray_session, tmp_path):
-    a = build_kg(t.transcripts_dataset(60), head="mpn",
-                 out_dir=str(tmp_path / "a"))
-    b = build_kg(t.transcripts_dataset(60), head="mpn",
-                 out_dir=str(tmp_path / "b"))
+    """Two builds give the same KG, the second written into the first's
+    output directory: a rerun replaces each stage, never appends to it."""
+    out = str(tmp_path / "kg")
+
+    def build():
+        res = build_kg(t.transcripts_dataset(60), head="mpn", out_dir=out)
+        return {"triples": res["triples"].count(),
+                **{key: _sorted_frame(res[key]) for key in ("nodes", "edges")}}
+
+    a, b = build(), build()
+    assert a["triples"] == b["triples"]
     for key in ("nodes", "edges"):
-        pa_ = a[key].to_pandas().sort_values(
-            list(a[key].to_pandas().columns)).reset_index(drop=True)
-        pb_ = b[key].to_pandas().sort_values(
-            list(b[key].to_pandas().columns)).reset_index(drop=True)
-        assert pa_.equals(pb_), key
+        assert a[key].equals(b[key]), key
+
+
+def test_cli_extract_twice_replaces_output(ray_session, tmp_path):
+    from nlp_series_relation_extraction_ray import cli
+    from nlp_series_relation_extraction_ray.sources.readers import (
+        read_parquet_clean,
+    )
+
+    out = str(tmp_path / "triples")
+    argv = ["extract", "--input", "synthetic:30", "--output", out]
+    cli.main(argv)
+    rows = read_parquet_clean(out).count()
+    cli.main(argv)
+    assert rows > 0 and read_parquet_clean(out).count() == rows
 
 
 def test_kg_node_degrees_matches_edge_table(ray_session, tmp_path):

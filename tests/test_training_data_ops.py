@@ -998,54 +998,3 @@ def test_knn_lsh_recall_on_clustered_vectors(ray_session):
         lsh.sort_values(["query_id", "rank"]).reset_index(drop=True),
         again.sort_values(["query_id", "rank"]).reset_index(drop=True),
     )
-
-
-def test_salted_shuffle_join_matches_plain_on_skew(ray_session):
-    """One key holds half of both sides: the salted join must return
-    exactly the plain join's rows (salting moves work, never changes
-    pairs), including the hot key's full cartesian product."""
-    import ray
-
-    from nlp_series_relation_extraction_ray.functions.joins import (
-        salted_shuffle_join,
-        shuffle_join,
-    )
-
-    rng = np.random.RandomState(9)
-    n = 2000
-    keys = np.where(rng.rand(n) < 0.5, 7, rng.randint(100, 200, n))
-    left = pd.DataFrame({"k": keys.astype("int64"),
-                         "lv": np.arange(n, dtype="int64")})
-    rkeys = np.where(rng.rand(50) < 0.3, 7, rng.randint(100, 200, 50))
-    right = pd.DataFrame({"k": rkeys.astype("int64"),
-                          "rv": np.arange(50, dtype="int64")})
-    lds = ray.data.from_pandas(left)
-    rds = ray.data.from_pandas(right)
-
-    def canon(df):
-        return df.sort_values(["k", "lv", "rv"]).reset_index(drop=True)
-
-    plain = canon(shuffle_join(lds, rds, on="k").to_pandas())
-    salted = canon(
-        salted_shuffle_join(lds, rds, on="k", hot_keys=[7],
-                            n_salt=4).to_pandas()
-    )
-    assert len(plain) > 0
-    # hot-key cartesian must be complete: |left_7| x |right_7| pairs
-    n7 = (left["k"] == 7).sum() * (right["k"] == 7).sum()
-    assert (plain["k"] == 7).sum() == n7
-    pd.testing.assert_frame_equal(plain, salted)
-    # composite-key join path: multi-column `on` equals sequential merge
-    left2 = left.assign(g=(left["lv"] % 3).astype("int64"))
-    right2 = right.assign(g=(right["rv"] % 3).astype("int64"))
-    got = shuffle_join(
-        ray.data.from_pandas(left2), ray.data.from_pandas(right2),
-        on=["k", "g"],
-    ).to_pandas().sort_values(["k", "g", "lv", "rv"]).reset_index(drop=True)
-    # the union NaN-fill promotes ints to float64 (documented shuffle_join
-    # behavior — callers cast); values must be integral and equal
-    got = got.astype("int64")
-    want = left2.merge(right2, on=["k", "g"]).sort_values(
-        ["k", "g", "lv", "rv"]
-    ).reset_index(drop=True)[got.columns.tolist()]
-    pd.testing.assert_frame_equal(got, want)
