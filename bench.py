@@ -240,9 +240,10 @@ def bench_queries(sf_dir: str) -> dict:
         "docs_edit_dist_pairs",
         # round-5 additions.  Parity-only (correctness artifacts, not
         # throughput pipelines): eval_extraction_pr_trained (one-off
-        # deterministic training dominates) and kg_pagerank_check (forces
-        # the shuffle-join plan on a vocabulary-bounded graph, so its wall
-        # is 5 iterations of pure all-to-all coordination by design).
+        # deterministic training dominates) and kg_pagerank_check (runs
+        # the shuffle-join plan against the driver plan on a
+        # vocabulary-bounded graph, so its wall is 5 iterations of pure
+        # all-to-all coordination by design).
         "events_type_stats_var",
         "events_hivalue_except_users",
         "events_hivalue_intersect_users",

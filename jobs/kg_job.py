@@ -32,7 +32,8 @@ import os
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+ROOT = str(Path(__file__).resolve().parent.parent)
+sys.path.insert(0, ROOT)
 
 
 def main(argv=None) -> dict:
@@ -53,7 +54,12 @@ def main(argv=None) -> dict:
         except ConnectionError:
             if os.environ.get("RAY_ADDRESS"):
                 raise  # ray job submit named a cluster: never run locally
-            ray.init(ignore_reinit_error=True)  # local session fallback
+            # local session fallback; its workers import the package from
+            # this checkout, whatever the cwd
+            path = os.pathsep.join(
+                p for p in (ROOT, os.environ.get("PYTHONPATH")) if p)
+            ray.init(ignore_reinit_error=True,
+                     runtime_env={"env_vars": {"PYTHONPATH": path}})
 
     from nlp_series_relation_extraction_ray.pipelines.kg import (
         build_kg_resumable,

@@ -3,14 +3,17 @@ size gate.
 
 ``undirected_pairs`` is the one builder of the canonical pair table
 (distinct ``(u, v)`` with ``u < v``) that components, triangles and k-core
-start from.  ``min_label_components`` is the one connected-components
-kernel: ``kg_components`` (string labels) and ``dedup.dup_clusters`` (int64
-labels) keep only their own output shaping around it.
+start from; PageRank starts from the distinct directed edges
+(``kg._adjacency``).  ``min_label_components`` is the one
+connected-components kernel: ``kg_components`` (string labels) and
+``dedup.dup_clusters`` (int64 labels) keep only their own output shaping
+around it.
 
-``graph_plan`` is the gate: up to ``DRIVER_MAX_PAIRS`` canonical pairs the
-operator runs on the driver over the collected pair table, above it its
-distributed plan runs.  PageRank gates on nodes (``DENSE_MAX_NODES``).
-Each gated call logs one ``{op, plan, pairs, rounds}`` record.
+``graph_plan`` is the gate of every graph operator: up to
+``DRIVER_MAX_PAIRS`` rows of the operator's pair table (canonical pairs;
+directed edges for PageRank) it runs on the driver over the collected
+table, above it its distributed plan runs.  Each gated call logs one
+``{op, plan, pairs, rounds}`` record.
 """
 
 from __future__ import annotations
@@ -22,15 +25,16 @@ import pandas as pd
 
 logger = logging.getLogger(__name__)
 
-DRIVER_MAX_PAIRS = 1_000_000  # canonical pairs; at most this runs on the driver
-DENSE_MAX_NODES = 100_000  # PageRank nodes; at most this runs the dense plan
+# rows of the operator's pair table (canonical pairs; directed edges for
+# PageRank); at most this runs on the driver
+DRIVER_MAX_PAIRS = 1_000_000
 MAX_ITERS = 25  # propagation rounds before the budget warning (hard cap 8x)
 
 
 def log_plan(op: str, plan: str, pairs: int, rounds: int) -> None:
     """A call's one INFO record; its ``stats`` attribute holds ``op``,
     ``plan`` (``driver`` or ``distributed``), ``pairs`` (the input edge
-    count) and ``rounds`` (0 on the driver, except PageRank's iterations)."""
+    count) and ``rounds`` (0 on the driver)."""
     stats = {"op": op, "plan": plan, "pairs": pairs, "rounds": rounds}
     logger.info("graph plan: op=%s plan=%s pairs=%d rounds=%d",
                 op, plan, pairs, rounds, extra={"stats": stats})
@@ -58,7 +62,9 @@ def undirected_pairs(edges_ds, src: str, dst: str, drop_loops: bool):
     A map-side ``drop_duplicates`` per block, then one bucketed pair-keyed
     reduce makes them distinct globally.  ``drop_loops=True`` gives the
     simple graph; with ``False`` a self-loop stays as ``(x, x)``, so its
-    endpoint stays in the node universe."""
+    endpoint stays in the node universe.  Ray skips ``canon`` on a
+    zero-row block, so an empty input gets its typed columns from the
+    ``empty_result`` hint."""
     from .grouping import bucketed_group_apply
 
     def canon(df: pd.DataFrame) -> pd.DataFrame:
@@ -71,6 +77,7 @@ def undirected_pairs(edges_ds, src: str, dst: str, drop_loops: bool):
     return bucketed_group_apply(
         edges_ds.map_batches(canon, batch_format="pandas"), ["u", "v"],
         lambda df: df.drop_duplicates(),
+        empty_result={"u": "object", "v": "object"},
     ).materialize()
 
 

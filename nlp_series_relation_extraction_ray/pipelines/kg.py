@@ -410,7 +410,9 @@ def _triangles_distributed(pairs):
 def _adjacency(edges_ds):
     """Distinct directed ``(src, dst)`` entity-id pairs as strings,
     materialized: a map-side ``drop_duplicates`` per block, then one
-    bucketed pair-keyed reduce makes them distinct globally."""
+    bucketed pair-keyed reduce makes them distinct globally.  Ray skips
+    ``to_edges`` on a zero-row block, so an empty input gets its typed
+    columns from the ``empty_result`` hint."""
     from ..functions.grouping import bucketed_group_apply
 
     def to_edges(df: pd.DataFrame) -> pd.DataFrame:
@@ -421,6 +423,7 @@ def _adjacency(edges_ds):
     return bucketed_group_apply(
         edges_ds.map_batches(to_edges, batch_format="pandas"), ["src", "dst"],
         lambda df: df.drop_duplicates(),
+        empty_result={"src": "object", "dst": "object"},
     ).materialize()
 
 
@@ -428,42 +431,32 @@ def kg_pagerank(edges_ds, damping: float = 0.85, n_iter: int = 5):
     """PageRank over the directed KG entity graph (distinct src→dst edges),
     fixed-iteration power method — the engine's iterative-analytics shape.
 
-    Two physical plans, chosen by measured node count (the classic
-    size-based switch: node STATE is tiny relative to the edge table):
+    Size-gated through ``graphs.graph_plan`` on the distinct directed
+    edges, like the other graph operators:
 
-    - **dense broadcast** (``plan="driver"``, n_nodes ≤
-      ``graphs.DENSE_MAX_NODES``): the rank vector lives on the driver;
-      the adjacency is integer-encoded ONCE (broadcast id map) and
-      repartitioned to cpu-count blocks; each iteration broadcasts the
-      per-node emission vector (``ray.put``, 8 bytes/node) and runs ONE
-      pure map pass — every block returns a dense contribution vector, the
-      driver sums #blocks small vectors and applies damping/dangling in
-      closed form.  No per-iteration shuffle at all.  At the default
-      threshold the broadcast is ≤ 800 KB and a block's return ≤ 800 KB —
-      a KG of 10⁵ canonical entities with 10¹² mentions stays in this
-      regime.
-    - **shuffle join** (``plan="distributed"``, larger): per iteration one
-      shuffle join sends each node's rank to its out-edges and one
+    - **driver** (up to ``graphs.DRIVER_MAX_PAIRS`` edges): the collected
+      adjacency runs :func:`_pagerank_local`, a numpy ``bincount`` power
+      iteration (0 rounds in the plan record).
+    - **distributed** (larger): :func:`_pagerank_shuffle` — per iteration
+      one shuffle join sends each node's rank to its out-edges and one
       bucketed reduce sums per destination; ranks re-materialize per round
       so lineage stays one-iteration deep.  Dangling mass recovers in
       closed form from the emitted-contribution sum (O(1) driver scalar
-      per round).
+      per round).  The plan record reports ``rounds`` = ``n_iter``.
 
-    Both plans are value-identical (same update rule); floats → rows-only
-    driver check; the fixed-point is pinned against a dense numpy
-    reference in pytest for BOTH plans.  Logs one graph-plan record
-    (``pairs`` = distinct directed edges, ``rounds`` = ``n_iter``).
+    Both plans run the same update rule; floats → rows-only driver check;
+    :func:`kg_pagerank_check` verifies shuffle plan == driver plan, and
+    pytest pins both plans against an independent reference.
     """
-    from ..functions import graphs
+    import ray
 
-    adj = _adjacency(edges_ds)
-    deg = _out_degrees(adj)
-    if len(deg) <= graphs.DENSE_MAX_NODES:
-        plan, ranks = "driver", _pagerank_dense(adj, deg, damping, n_iter)
-    else:
-        plan, ranks = "distributed", _pagerank_shuffle(adj, damping, n_iter)
-    graphs.log_plan("kg_pagerank", plan, adj.count(), n_iter)
-    return ranks
+    from ..functions.graphs import graph_plan
+
+    return graph_plan(
+        "kg_pagerank", _adjacency(edges_ds),
+        lambda ep: ray.data.from_pandas(_pagerank_local(ep, damping, n_iter)),
+        lambda adj: (_pagerank_shuffle(adj, damping, n_iter), n_iter),
+    )
 
 
 def _pagerank_shuffle(adj, damping: float, n_iter: int):
@@ -549,95 +542,28 @@ def _pagerank_shuffle(adj, damping: float, n_iter: int):
     return ranks.map_batches(finish, batch_format="pandas")
 
 
-def _out_degrees(adj) -> pd.Series:
-    """Out-degree per node of the adjacency (src ∪ dst, sorted), folded
-    from map-side partials: the driver collects ≤ #blocks × n_nodes rows,
-    while the edge table itself never leaves the cluster."""
-
-    def deg_rows(df: pd.DataFrame) -> pd.DataFrame:
-        src_cnt = df["src"].value_counts()
-        nodes = pd.Index(df["src"]).union(pd.Index(df["dst"])).unique()
-        return pd.DataFrame(
-            {
-                "node": nodes,
-                "outdeg": src_cnt.reindex(nodes).fillna(0).astype("int64"),
-            }
-        )
-
-    parts = pd.concat(
-        list(
-            adj.map_batches(deg_rows, batch_format="pandas").iter_batches(
-                batch_format="pandas"
-            )
-        ),
-        ignore_index=True,
-    )
-    return parts.groupby("node")["outdeg"].sum()
-
-
-def _pagerank_dense(adj, deg: pd.Series, damping: float, n_iter: int):
-    """Dense-broadcast PageRank plan (see ``kg_pagerank``) over the
-    materialized adjacency and its :func:`_out_degrees`."""
-    import os
-
-    import pyarrow as pa
-    import ray
-
-    from ..stages.base import worker_cached
-
-    n = len(deg)
-    nodes = deg.index.to_numpy()
-    outdeg = deg.to_numpy(dtype=np.float64)
-    idx_ref = ray.put({nd: i for i, nd in enumerate(nodes)})
-
-    # integer-encode the adjacency once; few fat blocks keep the
-    # per-iteration vector collect at #blocks × 8n bytes
-    def encode(df: pd.DataFrame) -> pd.DataFrame:
-        idx = worker_cached("pr_idx",
-                            lambda: ray.get(idx_ref),
-                            idx_ref.hex())
-        return pd.DataFrame(
-            {
-                "s": df["src"].map(idx).astype("int32"),
-                "d": df["dst"].map(idx).astype("int32"),
-            }
-        )
-
-    n_blocks = max(1, min(os.cpu_count() or 8, adj.num_blocks()))
-    enc = (
-        adj.map_batches(encode, batch_format="pandas")
-        .repartition(n_blocks)
-        .materialize()
-    )
-
-    dangling_mask = outdeg == 0
-    safe_deg = np.where(dangling_mask, 1.0, outdeg)
+def _pagerank_local(ep: pd.DataFrame, damping: float,
+                    n_iter: int) -> pd.DataFrame:
+    """(node, rank) sorted by node: :func:`kg_pagerank`'s power iteration
+    over a collected adjacency frame ``(src, dst)`` as numpy ``bincount``
+    folds — the driver plan and :func:`kg_pagerank_check`'s reference."""
+    nodes = sorted(set(ep["src"]) | set(ep["dst"]))
+    n = len(nodes)
+    if not n:
+        return pd.DataFrame({"node": pd.Series([], dtype=object),
+                             "rank": pd.Series([], dtype="float64")})
+    idx = {node: i for i, node in enumerate(nodes)}
+    src = ep["src"].map(idx).to_numpy()
+    dst = ep["dst"].map(idx).to_numpy()
+    outdeg = np.bincount(src, minlength=n)
     r = np.full(n, 1.0 / n)
-    base = (1.0 - damping) / n
-
+    safe_deg = np.where(outdeg == 0, 1, outdeg)
     for _ in range(n_iter):
-        em_ref = ray.put(r / safe_deg)
-
-        def contrib_vec(batch: pa.Table) -> pa.Table:
-            em = ray.get(em_ref)  # fresh per iteration: no worker cache
-            vec = np.zeros(len(em))
-            s = batch["s"].to_numpy()
-            d = batch["d"].to_numpy()
-            np.add.at(vec, d, em[s])
-            return pa.Table.from_pydict(
-                {"vec": pa.array([vec.tobytes()], pa.binary())}
-            )
-
-        vecs = enc.map_batches(
-            contrib_vec, batch_format="pyarrow", batch_size=None
-        ).take_all()
-        contrib = np.zeros(n)
-        for row in vecs:
-            contrib += np.frombuffer(row["vec"], dtype=np.float64)
-        dangling = float(r[dangling_mask].sum())
-        r = base + damping * (contrib + dangling / n)
-
-    return ray.data.from_pandas(pd.DataFrame({"node": nodes, "rank": r}))
+        contrib = np.bincount(dst, weights=r[src] / safe_deg[src],
+                              minlength=n)
+        dangling = float(r[outdeg == 0].sum())
+        r = (1.0 - damping) / n + damping * (contrib + dangling / n)
+    return pd.DataFrame({"node": nodes, "rank": r})
 
 
 def kg_components(edges_ds):
@@ -655,7 +581,10 @@ def kg_components(edges_ds):
     no edges are trivial singletons and are not emitted — matching the
     oracle's edge-derived universe).
     """
+    import ray
+
     from ..functions.graphs import min_label_components, undirected_pairs
+    from ..functions.grouping import _collect
 
     def rename(df: pd.DataFrame) -> pd.DataFrame:
         out = df.rename(
@@ -664,8 +593,10 @@ def kg_components(edges_ds):
         return out.astype({"entity_id": "string", "component_id": "string"})
 
     pairs = undirected_pairs(edges_ds, "src_id", "dst_id", drop_loops=False)
-    return min_label_components(pairs).map_batches(rename,
-                                                   batch_format="pandas")
+    labels = min_label_components(pairs)
+    if not pairs.count():  # Ray skips ``rename`` on a zero-row block
+        return ray.data.from_pandas(rename(_collect(labels)))
+    return labels.map_batches(rename, batch_format="pandas")
 
 
 def kg_edges_named(edges_ds, nodes_ds):
@@ -715,46 +646,35 @@ def kg_edges_named(edges_ds, nodes_ds):
 def kg_pagerank_check(edges_ds, damping: float = 0.85, n_iter: int = 5):
     """Boolean-verdict accuracy gate for :func:`kg_pagerank` (the one KG
     query whose floats make it rows-only): per node,
-    ``|distributed_rank − dense_reference_rank| ≤ 1e-9`` plus a global
+    ``|shuffle_plan_rank − driver_plan_rank| ≤ 1e-9`` plus a global
     ``|Σ rank − 1| ≤ 1e-6`` verdict, emitted as literal booleans —
     the SQL oracle emits the node universe + literal TRUE, so a
     hash-exact driver match IS the fixed-point check (same pattern as
     the sketch ``*_check`` queries).
 
-    The distributed side is the SHUFFLE-JOIN plan (``_pagerank_shuffle``
-    — the 100-TB path, one rank⋈edge join + one per-destination reduce per
-    iteration); the reference is an independent driver-side dense power
-    iteration over the same adjacency table, collected.  Collecting it is
-    bounded by the canonical-entity vocabulary squared (edges are the
-    OUTPUT of canonicalization's reduce), not by corpus size — the same
-    boundedness argument as the dense-broadcast plan itself.
+    The checked side is the SHUFFLE-JOIN plan (``_pagerank_shuffle`` —
+    the 100-TB path, one rank⋈edge join + one per-destination reduce per
+    iteration); the reference is the driver plan, :func:`_pagerank_local`,
+    over the same adjacency table, collected.  Collecting it is bounded by
+    the canonical-entity vocabulary squared (edges are the OUTPUT of
+    canonicalization's reduce), not by corpus size.  An empty table gives
+    zero rows; like ``graph_plan``'s distributed side, the shuffle plan
+    never sees one.
     """
     from ..functions.grouping import _collect
 
     adj = _adjacency(edges_ds)
-    distributed = _pagerank_shuffle(adj, damping, n_iter).to_pandas()
-
-    ep = _collect(adj)
-    nodes = sorted(set(ep["src"]) | set(ep["dst"]))
-    idx = {node: i for i, node in enumerate(nodes)}
-    n = len(nodes)
-    src = ep["src"].map(idx).to_numpy()
-    dst = ep["dst"].map(idx).to_numpy()
-    outdeg = np.bincount(src, minlength=n)
-    r = np.full(n, 1.0 / n)
-    safe_deg = np.where(outdeg == 0, 1, outdeg)
-    for _ in range(n_iter):
-        contrib = np.bincount(dst, weights=r[src] / safe_deg[src],
-                              minlength=n)
-        dangling = float(r[outdeg == 0].sum())
-        r = (1.0 - damping) / n + damping * (contrib + dangling / n)
-
-    got = distributed.set_index("node")["rank"].reindex(nodes)
-    within = np.abs(got.to_numpy() - r) <= 1e-9  # NaN-safe: NaN → False
-    sum_ok = bool(abs(float(got.fillna(0.0).sum()) - 1.0) <= 1e-6) and (
-        len(distributed) == n
+    ref = _pagerank_local(_collect(adj), damping, n_iter)
+    got = (_pagerank_shuffle(adj, damping, n_iter).to_pandas() if len(ref)
+           else ref)
+    ranks = got.set_index("node")["rank"].reindex(ref["node"])
+    # NaN-safe: a node missing from the shuffle plan compares False
+    within = np.abs(ranks.to_numpy() - ref["rank"].to_numpy()) <= 1e-9
+    sum_ok = bool(abs(float(ranks.fillna(0.0).sum()) - 1.0) <= 1e-6) and (
+        len(got) == len(ref)
     )
-    return pd.DataFrame({"node": nodes, "within_tol": within, "sum_ok": sum_ok})
+    return pd.DataFrame({"node": ref["node"], "within_tol": within,
+                         "sum_ok": sum_ok})
 
 
 def _kcore_local(pairs) -> dict[str, int]:
@@ -865,17 +785,19 @@ def kg_kcore_check(edges_ds):
     table — emitted as literal booleans whose SQL oracle is the
     edge-endpoint node universe + TRUE (self-loop-only nodes excluded,
     matching the simple-graph semantics).  Integer core numbers make the
-    verdict exact (no ε needed)."""
+    verdict exact (no ε needed).  An empty table gives zero rows; like
+    ``graph_plan``'s distributed side, the distributed plan never sees
+    one."""
     from ..functions.graphs import undirected_pairs
     from ..functions.grouping import _collect
 
     pairs = undirected_pairs(edges_ds, "src_id", "dst_id", drop_loops=True)
-    got, _ = _kcore_distributed(pairs)
     ep = _collect(pairs)
     ref = _kcore_local(zip(ep["u"], ep["v"]))
+    got = _kcore_distributed(pairs)[0] if ref else {}
     nodes = sorted(ref)
     return pd.DataFrame({
-        "node": nodes,
+        "node": pd.Series(nodes, dtype=object),
         "core_match": np.array([got.get(n) == ref[n] for n in nodes], bool),
         "count_ok": len(got) == len(nodes),
     })

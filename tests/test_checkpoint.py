@@ -8,6 +8,10 @@ per file, so the shard layout never depends on Ray's writer."""
 import json
 import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
 
 import pyarrow.parquet as pq
 import pytest
@@ -27,6 +31,9 @@ from nlp_series_relation_extraction_ray.state.checkpoint import (
     partition_ranges,
     read_all_partitions,
 )
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+JOB_TIMEOUT_S = 300
 
 
 def _write_shard(src, k: int, convs) -> None:
@@ -124,6 +131,56 @@ def test_kg_job_entrypoint(ray_session, tmp_path, shards):
     for stage in ("nodes", "edges"):
         assert (s2[stage]["ran"], s2[stage]["skipped"]) == (0, 1)
     assert read_all_partitions(f"{out}/triples").count() == rows1
+
+
+def _session_alive(sid: int) -> list[int]:
+    """Live processes of session ``sid`` (an unreaped zombie has exited)."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                fields = f.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[3]) == sid and fields[0] not in ("Z", "X"):
+            pids.append(int(entry))
+    return pids
+
+
+def test_kg_job_runs_outside_repo_root(no_ray_session, tmp_path, shards):
+    """``python <repo>/jobs/kg_job.py`` run from another directory, with no
+    cluster to attach to and no ``PYTHONPATH``, starts a local session
+    whose workers import the package from the checkout.  The job runs in a
+    child process with its own session under a hard timeout, and none of
+    its Ray processes outlives it."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("RAY_ADDRESS", "PYTHONPATH")}
+    out = tmp_path / "job_out"
+    proc = subprocess.Popen(
+        [sys.executable, os.path.join(REPO, "jobs", "kg_job.py"),
+         "--input", shards, "--output", str(out), "--partitions", "2"],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=JOB_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise AssertionError(f"the job did not finish in {JOB_TIMEOUT_S} s")
+    assert proc.returncode == 0, stderr[-3000:]
+    summary = json.loads(
+        next(ln for ln in stdout.splitlines() if ln.startswith("{")))
+    assert summary["extract"]["ran"] == 2
+    assert sum(p["rows_out"] for p in summary["extract"]["partitions"]) > 0
+    assert summary["nodes"]["ran"] == summary["edges"]["ran"] == 1
+
+    # the job's raylet, GCS and workers exit with it
+    deadline = time.time() + 30
+    while _session_alive(proc.pid) and time.time() < deadline:
+        time.sleep(0.5)
+    assert not _session_alive(proc.pid)
 
 
 def test_empty_input_keeps_prior_output(ray_session, tmp_path, shards):

@@ -1,7 +1,8 @@
 """Graph analytics over the KG edge table: degree-ordered triangle
 counting (`kg_triangles`), fixed-iteration PageRank (`kg_pagerank`) and
 k-core (`kg_kcore`) — semantics pinned on hand-built graphs with known
-answers — and the one graph-plan record every gated operator logs."""
+answers — the one graph-plan record every gated operator logs, and typed
+zero-row output on an empty edge table."""
 
 import logging
 
@@ -72,17 +73,17 @@ def _pagerank_reference(edges, damping, n_iter):
     return dict(zip(nodes, r))
 
 
-@pytest.mark.parametrize("dense_max_nodes", [100_000, 0])
+@pytest.mark.parametrize("driver_max_pairs", [1_000_000, 0])
 def test_kg_pagerank_matches_dense_reference(ray_session, monkeypatch,
-                                             dense_max_nodes):
-    """Distributed fixed-iteration PageRank equals the dense power
+                                             driver_max_pairs):
+    """Fixed-iteration PageRank equals the pure-Python dense power
     iteration (same damping/iterations/dangling handling) to float
     precision, on a graph with a hub, a dangling node, and a cycle —
-    for BOTH physical plans (dense broadcast and shuffle-join fallback,
-    forced via DENSE_MAX_NODES=0)."""
+    for BOTH physical plans (the driver's numpy iteration and the
+    shuffle-join plan, forced via DRIVER_MAX_PAIRS=0)."""
     from nlp_series_relation_extraction_ray.pipelines.kg import kg_pagerank
 
-    monkeypatch.setattr(graphs, "DENSE_MAX_NODES", dense_max_nodes)
+    monkeypatch.setattr(graphs, "DRIVER_MAX_PAIRS", driver_max_pairs)
 
     edges = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "a"),
              ("c", "d"),  # d is dangling (no out-edges)
@@ -186,46 +187,38 @@ def _kg(name):
     return lambda: getattr(kg, name)(_edges_ds(K4_PENDANT))
 
 
-# caller -> (gate constant, input count in the constant's unit, the
-# record's op and pairs, the record's rounds on the distributed plan)
+# caller -> (the record's op and pairs, the record's rounds on the
+# distributed plan, the call); PageRank's pairs are its distinct directed
+# edges
 GATED = {
     "min_label_components": (
-        "DRIVER_MAX_PAIRS", 3, "min_label_components", 3, 3,
+        "min_label_components", 3, 3,
         lambda: graphs.min_label_components(_path_pairs())),
-    "dup_clusters": (
-        "DRIVER_MAX_PAIRS", 3, "min_label_components", 3, 3,
-        _dup_clusters_path),
-    "kg_components": (
-        "DRIVER_MAX_PAIRS", 7, "min_label_components", 7, 2,
-        _kg("kg_components")),
-    "kg_triangles": ("DRIVER_MAX_PAIRS", 7, "kg_triangles", 7, 0,
-                     _kg("kg_triangles")),
-    "kg_kcore": ("DRIVER_MAX_PAIRS", 7, "kg_kcore", 7, 2, _kg("kg_kcore")),
-    # PageRank gates on nodes; its record counts the directed edges
-    "kg_pagerank": ("DENSE_MAX_NODES", 5, "kg_pagerank", 7, 5,
-                    _kg("kg_pagerank")),
+    "dup_clusters": ("min_label_components", 3, 3, _dup_clusters_path),
+    "kg_components": ("min_label_components", 7, 2, _kg("kg_components")),
+    "kg_triangles": ("kg_triangles", 7, 0, _kg("kg_triangles")),
+    "kg_kcore": ("kg_kcore", 7, 2, _kg("kg_kcore")),
+    "kg_pagerank": ("kg_pagerank", 7, 5, _kg("kg_pagerank")),
 }
 
 
 @pytest.mark.parametrize("below", [0, 1], ids=["at_count", "below_count"])
 @pytest.mark.parametrize("caller", list(GATED))
 def test_graph_plan_record(ray_session, caplog, monkeypatch, caller, below):
-    """Each call logs exactly one graph-plan record.  With the gate
-    constant equal to the input's count the plan is ``driver``; one below
-    it is ``distributed`` — so every pair-based op counts the pairs its
-    record reports, in one unit."""
-    const, count, op, pairs, rounds, run = GATED[caller]
-    monkeypatch.setattr(graphs, const, count - below)
+    """Each call logs exactly one graph-plan record.  With
+    ``DRIVER_MAX_PAIRS`` equal to the input's count the plan is
+    ``driver`` (0 rounds); one below it is ``distributed`` — so every op
+    counts the pairs its record reports, in one unit."""
+    op, pairs, rounds, run = GATED[caller]
+    monkeypatch.setattr(graphs, "DRIVER_MAX_PAIRS", pairs - below)
     logger = graphs.logger.name
     with caplog.at_level(logging.INFO, logger=logger):
         run().materialize()
     recs = [r.stats for r in caplog.records
             if r.name == logger and hasattr(r, "stats")]
     plan = "distributed" if below else "driver"
-    if caller != "kg_pagerank" and not below:
-        rounds = 0  # only PageRank iterates on the driver plan
     assert recs == [{"op": op, "plan": plan, "pairs": pairs,
-                     "rounds": rounds}]
+                     "rounds": rounds if below else 0}]
 
 
 def _count_executions(monkeypatch):
@@ -244,6 +237,25 @@ def _count_executions(monkeypatch):
     return calls
 
 
+FIVE_EDGES = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"), ("d", "e")]
+
+
+@pytest.mark.parametrize("op", [
+    "kg_pagerank", "kg_kcore", "kg_triangles", "kg_components",
+])
+def test_graph_operator_executions(ray_session, monkeypatch, op):
+    """On the driver plan an operator builds its pair table (one Ray Data
+    execution) and hands back a materialized result (one more to read
+    it): at most 2 executions."""
+    from nlp_series_relation_extraction_ray.pipelines import kg
+
+    edges = _edges_ds(FIVE_EDGES)
+    calls = _count_executions(monkeypatch)
+    out = getattr(kg, op)(edges).to_pandas()
+    assert len(calls) <= 2
+    assert len(out) == (3 if op == "kg_triangles" else 5)
+
+
 @pytest.mark.parametrize("check, fewer_than", [
     ("kg_kcore_check", 17), ("kg_pagerank_check", 23),
 ])
@@ -256,10 +268,42 @@ def test_checks_build_their_input_once(ray_session, monkeypatch, check,
     plan's degree pass first); its verdicts stay all TRUE."""
     from nlp_series_relation_extraction_ray.pipelines import kg
 
-    edges = _edges_ds([("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"),
-                       ("d", "e")])
+    edges = _edges_ds(FIVE_EDGES)
     calls = _count_executions(monkeypatch)
     out = getattr(kg, check)(edges)
     assert len(calls) < fewer_than
     assert len(out) == 5
     assert out.drop(columns="node").all().all()
+
+
+# op -> its documented output columns
+GRAPH_OUTPUTS = {
+    "kg_components": ["entity_id", "component_id"],
+    "kg_triangles": ["node", "n_triangles"],
+    "kg_pagerank": ["node", "rank"],
+    "kg_kcore": ["entity_id", "core"],
+    "kg_pagerank_check": ["node", "within_tol", "sum_ok"],
+    "kg_kcore_check": ["node", "core_match", "count_ok"],
+}
+
+
+@pytest.mark.parametrize("op", list(GRAPH_OUTPUTS))
+def test_empty_edge_table_gives_typed_zero_rows(ray_session, op):
+    """An empty edge table gives zero rows with the documented columns,
+    typed like the output on a non-empty graph.  Ray skips a map UDF on
+    a zero-row block, so the pair tables keep their columns only through
+    their builders' ``empty_result`` hints."""
+    from nlp_series_relation_extraction_ray.functions.grouping import (
+        _collect,
+    )
+    from nlp_series_relation_extraction_ray.pipelines import kg
+
+    def run(pairs):
+        out = getattr(kg, op)(_edges_ds(pairs))
+        return out if isinstance(out, pd.DataFrame) else _collect(
+            out.materialize())
+
+    empty = run([])
+    assert len(empty) == 0
+    assert list(empty.columns) == GRAPH_OUTPUTS[op]
+    pd.testing.assert_series_equal(empty.dtypes, run(FIVE_EDGES).dtypes)

@@ -289,7 +289,7 @@ def test_var_value_uses_oracle_double_arithmetic():
 
 def test_kg_pagerank_check_all_true(ray_session):
     """The boolean gate verdicts are all TRUE on a hub + dangling + cycle
-    graph (shuffle-plan pagerank vs the independent dense reference)."""
+    graph (shuffle-plan pagerank vs the driver plan's numpy reference)."""
     import ray
 
     from nlp_series_relation_extraction_ray.pipelines.kg import (
