@@ -9,7 +9,12 @@ checkpoint manifests are written with local file I/O):
       --input /mnt/corpus/transcripts/ --output /mnt/corpus/kg/ \
       --head baseline --partitions 4096
 
-The job attaches to the running cluster (`ray.init(address="auto")`), runs
+The job attaches to the cluster that ``RAY_ADDRESS`` names, which `ray job
+submit` always sets; for a cluster started by hand with `ray start`, run it
+with ``RAY_ADDRESS=auto``.  Without ``RAY_ADDRESS`` it starts its own local
+session (``address="local"``), whose workers import the package from this
+checkout through ``PYTHONPATH``, whatever the cwd; it never attaches to
+another Ray session that happens to run on the machine.  It runs
 the resumable partitioned KG build (`pipelines/kg.py::build_kg_resumable`:
 extraction over at most ``--partitions`` groups of the input's Parquet
 files, then nodes and edges), and prints the per-stage, per-partition
@@ -49,16 +54,12 @@ def main(argv=None) -> dict:
     import ray
 
     if not ray.is_initialized():
-        try:
-            ray.init(address="auto", ignore_reinit_error=True)
-        except ConnectionError:
-            if os.environ.get("RAY_ADDRESS"):
-                raise  # ray job submit named a cluster: never run locally
-            # local session fallback; its workers import the package from
-            # this checkout, whatever the cwd
+        if os.environ.get("RAY_ADDRESS"):
+            ray.init()  # the cluster RAY_ADDRESS names; never run locally
+        else:
             path = os.pathsep.join(
                 p for p in (ROOT, os.environ.get("PYTHONPATH")) if p)
-            ray.init(ignore_reinit_error=True,
+            ray.init(address="local",
                      runtime_env={"env_vars": {"PYTHONPATH": path}})
 
     from nlp_series_relation_extraction_ray.pipelines.kg import (

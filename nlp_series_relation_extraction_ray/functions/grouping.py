@@ -39,6 +39,12 @@ second one with the rows each bucket received (the measured skew).
 The hash is ``pandas.util.hash_pandas_object`` (fixed internal key —
 deterministic across processes and machines, vectorized over the column).
 
+The in-frame keyed kernels at the end of the module (``factorize``,
+``group_codes``, ``sorted_distinct_json``, ``union_json_lists``) are what
+map-side combiners and merge functions group one batch or bucket with:
+dictionary codes instead of Python dicts keyed by row tuples, and one sort
+of the distinct ``(group, value)`` pairs instead of a per-group lambda.
+
 ``two_phase_agg`` is the declarative form of the most common reduce on top
 of it: a decomposable ``GROUP BY`` (sum / count / min / max) stated once,
 with the map-side combiner and the merge both derived from one spec.
@@ -46,11 +52,14 @@ with the map-side combiner and the merge both derived from one spec.
 
 from __future__ import annotations
 
+import json
 import logging
+from itertools import chain
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 logger = logging.getLogger(__name__)
 
@@ -95,9 +104,12 @@ def empty_frame(spec: dict[str, str]) -> pd.DataFrame:
 
 
 def _coerce_empty(empty_result) -> pd.DataFrame | None:
-    """Normalize the ``empty_result`` hint (spec dict or zero-row frame)."""
+    """Normalize the ``empty_result`` hint (spec dict, Arrow schema or
+    zero-row frame)."""
     if empty_result is None:
         return None
+    if isinstance(empty_result, pa.Schema):
+        return empty_result.empty_table().to_pandas()
     if isinstance(empty_result, dict):
         return empty_frame(empty_result)
     return empty_result.iloc[0:0]
@@ -195,10 +207,12 @@ def bucketed_group_apply(ds, keys, fn, empty_result=None):
     by ``keys`` (vectorized ``df.groupby``) — it is never handed a partial
     group.
 
-    ``empty_result``: optional OUTPUT-schema hint (``{col: dtype}`` spec or
-    a zero-row frame).  Degenerate zero-row inputs then yield a typed empty
-    frame instead of a schema-less ``pd.DataFrame()``, keeping every block
-    of the stage schema-identical (no per-op guards needed downstream).
+    ``empty_result``: optional OUTPUT-schema hint (``{col: dtype}`` spec,
+    ``pa.Schema`` or a zero-row frame).  Degenerate zero-row inputs then
+    yield a typed empty frame instead of a schema-less ``pd.DataFrame()``,
+    keeping every block of the stage schema-identical (no per-op guards
+    needed downstream); with a ``pa.Schema`` a zero-row result is one
+    Arrow block of exactly that schema.
     Without the hint, a zero-row frame that still carries the key columns
     is probed through ``fn`` (vectorized groupby UDFs return typed empties
     naturally); only a schema-less zero-row input with no hint falls back
@@ -222,7 +236,10 @@ def bucketed_group_apply(ds, keys, fn, empty_result=None):
         return fn(df)
 
     if plan == "single":
-        return ray.data.from_pandas(apply(_collect(ds)))
+        out = apply(_collect(ds))
+        if len(out) == 0 and isinstance(empty_result, pa.Schema):
+            return ray.data.from_arrow(empty_result.empty_table())
+        return ray.data.from_pandas(out)
     return hash_bucket_apply(ds, keys, apply, n_buckets)
 
 
@@ -291,3 +308,89 @@ def text_tokens(df: pd.DataFrame, distinct: bool = False) -> pd.DataFrame:
     if distinct:
         toks = toks.map(set)
     return pd.DataFrame({"token": toks.explode()}, dtype=object)
+
+
+# -- in-frame keyed kernels: the map-side combiners and the merges group one
+# frame or batch by key codes instead of looping over rows in Python
+
+
+def factorize(col) -> tuple[np.ndarray, object]:
+    """``(codes, uniques)`` of an Arrow or pandas/numpy column: int64 codes
+    numbered in order of first occurrence, null a value of its own.
+    ``uniques`` is an Arrow array for an Arrow column, else a numpy
+    array."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if isinstance(col, pa.Array):
+        enc = pc.dictionary_encode(col, null_encoding="encode")
+        return enc.indices.to_numpy().astype(np.int64), enc.dictionary
+    codes, uniques = pd.factorize(np.asarray(col), use_na_sentinel=False)
+    return codes.astype(np.int64), uniques
+
+
+def group_codes(*cols) -> tuple[np.ndarray, np.ndarray]:
+    """Group ids of the rows' key tuples over the equal-length ``cols``,
+    numbered in order of first occurrence, and each group's first row.
+    The tuple code is folded in column by column, so it stays below the
+    row count squared."""
+    g = np.zeros(len(cols[0]), dtype=np.int64)
+    for col in cols:
+        codes, uniques = factorize(col)
+        g = pd.factorize(g * len(uniques) + codes)[0].astype(np.int64)
+    return g, np.unique(g, return_index=True)[1]
+
+
+def sorted_distinct_json(groups: np.ndarray, n_groups: int,
+                         codes: np.ndarray, uniques, cap: int | None = None,
+                         ensure_ascii: bool = False) -> pa.Array:
+    """Per group ``0..n_groups-1``: ``json.dumps(sorted(set(values))[:cap])``
+    of the values ``uniques[codes]`` of its rows.
+
+    One sort of the distinct ``(group, value rank)`` pairs gives every
+    group's run; each distinct value is ranked and JSON-encoded once, and
+    Arrow joins the runs into the list strings."""
+    values = list(uniques.to_pylist() if isinstance(uniques, pa.Array)
+                  else uniques)
+    order = sorted(range(len(values)), key=values.__getitem__)
+    rank = np.empty(len(values), dtype=np.int64)
+    rank[order] = np.arange(len(values))
+    width = max(len(values), 1)
+    pairs = np.unique(groups * width + rank[codes])
+    g = pairs // width
+    sizes = np.bincount(g, minlength=n_groups)
+    if cap is not None:
+        starts = np.cumsum(sizes) - sizes
+        keep = np.arange(len(pairs)) - starts[g] < cap
+        pairs, sizes = pairs[keep], np.minimum(sizes, cap)
+    encoded = pa.array([json.dumps(values[i], ensure_ascii=ensure_ascii)
+                        for i in order], pa.string())
+    offsets = pa.array(np.r_[0, np.cumsum(sizes)], pa.int32())
+    lists = pa.ListArray.from_arrays(
+        offsets, encoded.take(pa.array(pairs % width)))
+    return pc.binary_join_element_wise(
+        "[", pc.binary_join(lists, ", "), "]", "")
+
+
+def union_json_lists(groups: np.ndarray, n_groups: int, col,
+                     cap: int | None = None,
+                     ensure_ascii: bool = False) -> pa.Array:
+    """Per group: the JSON list of the sorted distinct union of the JSON
+    lists in ``col`` over its rows, first ``cap`` items.  Each distinct
+    string of ``col`` is parsed once."""
+    codes, uniques = factorize(col)
+    lists = [json.loads(s) for s in
+             (uniques.to_pylist() if isinstance(uniques, pa.Array)
+              else uniques)]
+    lens = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+    items = np.empty(int(lens.sum()), dtype=object)
+    items[:] = list(chain.from_iterable(lists))
+    item_codes, item_uniques = factorize(items)
+    # explode: row r takes the items of its list, in list order
+    row_lens = lens[codes]
+    list_starts = np.cumsum(lens) - lens
+    out_starts = np.cumsum(row_lens) - row_lens
+    take = (np.repeat(list_starts[codes] - out_starts, row_lens)
+            + np.arange(int(row_lens.sum())))
+    return sorted_distinct_json(np.repeat(groups, row_lens), n_groups,
+                                item_codes[take], item_uniques, cap,
+                                ensure_ascii)

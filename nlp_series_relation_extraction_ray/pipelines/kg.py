@@ -7,9 +7,13 @@ Extraction runs as task-based ``map_batches`` with a per-worker cached
 extractor (``extract_triples``), fused with the read.
 
 Stage boundaries are Parquet directories: ``out_dir/triples``,
-``out_dir/nodes``, ``out_dir/edges``.  Triples are written once and re-read by
-the two downstream consumers — re-reading them beats re-executing the
-extraction lineage twice.  ``build_kg`` runs the stages in one session;
+``out_dir/nodes``, ``out_dir/edges``.  Only the triples are read back:
+they are written once and re-read by the two downstream consumers, since
+re-reading them beats re-executing the extraction lineage twice.  Nodes and
+edges leave their merges materialized, so ``build_kg`` writes them and
+returns the written datasets without reading them back.  Linking and both
+map-side combiners work per distinct key of a batch, not per row
+(``stages/linking.py``).  ``build_kg`` runs the stages in one session;
 ``build_kg_resumable`` runs them over transcript Parquet shards with the
 manifest checkpoints of ``state/checkpoint.py``, so a rerun skips the
 partitions that finished.
@@ -97,14 +101,20 @@ def build_kg(transcripts_ds, head: str = "baseline", out_dir: str | None = None)
     Datasets.
 
     With ``out_dir`` set, each stage is written to ``{out_dir}/<name>``
-    Parquet, replacing what an earlier run left there, and downstream stages
-    read it back; without it everything stays in-memory lineage (tests).
-    Nothing is skipped on a rerun: :func:`build_kg_resumable` is the build
-    that resumes.
+    Parquet, replacing what an earlier run left there.  The triples are
+    read back for the two downstream consumers; nodes and edges come out
+    of their merges materialized, so the written datasets are returned as
+    they are.  Without ``out_dir`` everything stays in-memory lineage
+    (tests).  Nothing is skipped on a rerun: :func:`build_kg_resumable` is
+    the build that resumes.  An input without triples gives typed
+    zero-row datasets.
     """
+    import os
+
     import ray
 
-    from ..sources.readers import read_parquet_clean
+    from ..sources.readers import parquet_files, read_parquet_clean
+    from ..stages.format_spo import TRIPLE_SCHEMA
 
     triples = extract_triples(transcripts_ds, head=head)
     if out_dir:
@@ -113,22 +123,24 @@ def build_kg(transcripts_ds, head: str = "baseline", out_dir: str | None = None)
         triples.write_parquet(triples_dir, mode="overwrite")
         # metadata-free re-read: pandas footer metadata makes the fragment
         # schemas unhashable (Ray then logs "Failed to hash the schemas"
-        # and loses its schema-dedup fast path on every downstream stage)
-        triples = read_parquet_clean(triples_dir)
+        # and loses its schema-dedup fast path on every downstream stage);
+        # a zero-row write leaves no file to read
+        triples = (read_parquet_clean(triples_dir)
+                   if os.path.isdir(triples_dir)
+                   and parquet_files(triples_dir) else
+                   ray.data.from_arrow(TRIPLE_SCHEMA.empty_table()))
 
     from ..sources.kb import build_alias_index
 
     alias_ref = ray.put(build_alias_index())
 
-    nodes = kg_nodes(triples, alias_index_ref=alias_ref)
-    edges = kg_edges(triples, alias_index_ref=alias_ref)
+    # the merges' outputs are in the object store already: materialize()
+    # runs nothing, and reading the result back runs no execution either
+    nodes = kg_nodes(triples, alias_index_ref=alias_ref).materialize()
+    edges = kg_edges(triples, alias_index_ref=alias_ref).materialize()
     if out_dir:
-        nodes_dir = f"{out_dir}/nodes"
-        edges_dir = f"{out_dir}/edges"
-        nodes.write_parquet(nodes_dir, mode="overwrite")
-        edges.write_parquet(edges_dir, mode="overwrite")
-        nodes = read_parquet_clean(nodes_dir)
-        edges = read_parquet_clean(edges_dir)
+        nodes.write_parquet(f"{out_dir}/nodes", mode="overwrite")
+        edges.write_parquet(f"{out_dir}/edges", mode="overwrite")
     return {"triples": triples, "nodes": nodes, "edges": edges}
 
 
@@ -141,8 +153,9 @@ def build_kg_resumable(paths, out_dir: str, head: str = "baseline",
     manifest is missing or stale.
 
     The sorted file list is split into at most ``n_partitions`` extraction
-    partitions.  Each partition's spec holds its file paths and byte sizes,
-    ``head`` and the engine tag, so a rewritten shard reruns.  The nodes
+    partitions.  Each partition's spec holds its file paths, byte sizes and
+    modification times (``st_mtime_ns``), ``head`` and the engine tag, so a
+    rewritten shard reruns, even at the same size.  The nodes
     and edges specs embed every extraction partition's fingerprint, so a
     changed extraction invalidates them while an unchanged rerun skips all
     three stages.  Nodes and edges are global reduces over the full triples
@@ -171,6 +184,7 @@ def build_kg_resumable(paths, out_dir: str, head: str = "baseline",
     specs = [
         {"kind": "parquet_shard", "files": files[lo:hi],
          "bytes": [os.path.getsize(f) for f in files[lo:hi]],
+         "mtime_ns": [os.stat(f).st_mtime_ns for f in files[lo:hi]],
          "head": head, "engine": "v1"}
         for lo, hi in partition_ranges(len(files), n_partitions)
     ]

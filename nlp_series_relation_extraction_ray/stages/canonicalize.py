@@ -15,6 +15,20 @@ person mentions to one entity on purpose) cannot pin a single reducer:
 Deterministic outputs: entity_type is the lexicographic min of observed
 mention types for unlinked nodes (KB type wins for linked nodes), aliases are
 the sorted distinct observed surfaces, all independent of partitioning.
+
+Every step works per distinct key, not per row: the combiner groups a batch
+by dictionary codes (the salt computed once per distinct ``conv_id``), and
+the merges build each sorted JSON-list union with one sort
+(``functions.grouping.union_json_lists``).
+
+Why the salt stays: the map-side combiner already folds a hot entity into
+one row per batch and salt, and the benchmark corpus has no entity the
+second phase needs spreading for.  But the benchmark tracer
+(``perfbench/workloads.py``) recognises the canonicalization merges by
+their key tuples and counts the combiner's partials at the
+``("entity_id", "salt")`` merge, so removing the phase breaks the traced
+``kg_build`` run.  It goes once the library reports its own run records
+(ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -44,74 +58,53 @@ def _salt(conv_id: str) -> int:
 
 
 def partial_nodes(batch: pa.Table) -> pa.Table:
-    """Phase-1 map-side combiner: one partial row per (entity_id, salt)."""
-    acc: dict[tuple[str, int], dict] = {}
-    eids = batch["entity_id"].to_pylist()
-    convs = batch["conv_id"].to_pylist()
-    canons = batch["canonical_name"].to_pylist()
-    mtypes = batch["mention_type"].to_pylist()
-    surfaces = batch["surface"].to_pylist()
-    for i in range(batch.num_rows):
-        key = (eids[i], _salt(convs[i]))
-        a = acc.get(key)
-        if a is None:
-            a = acc[key] = {
-                "canonical_name": canons[i],
-                "types": set(),
-                "surfaces": set(),
-                "count": 0,
-            }
-        a["types"].add(mtypes[i])
-        a["surfaces"].add(surfaces[i])
-        a["count"] += 1
-    return pa.Table.from_pydict(
-        {
-            "entity_id": pa.array([k[0] for k in acc], pa.string()),
-            "salt": pa.array([k[1] for k in acc], pa.int32()),
-            "canonical_name": pa.array(
-                [a["canonical_name"] for a in acc.values()], pa.string()
-            ),
-            "types_json": pa.array(
-                [json.dumps(sorted(a["types"]), ensure_ascii=False)
-                 for a in acc.values()],
-                pa.string(),
-            ),
-            "surfaces_json": pa.array(
-                [json.dumps(sorted(a["surfaces"]), ensure_ascii=False)
-                 for a in acc.values()],
-                pa.string(),
-            ),
-            "count": pa.array([a["count"] for a in acc.values()], pa.int64()),
-        }
+    """Phase-1 map-side combiner: one partial row per (entity_id, salt),
+    in order of first occurrence.  The salt is computed once per distinct
+    ``conv_id``, and the type and surface sets are built by one sort per
+    column (``grouping.sorted_distinct_json``)."""
+    from ..functions.grouping import (
+        factorize,
+        group_codes,
+        sorted_distinct_json,
     )
 
+    conv, first = group_codes(batch["conv_id"])
+    salts = np.array(
+        [_salt(c) for c in batch["conv_id"].take(pa.array(first)).to_pylist()],
+        dtype=np.int32)[conv]
+    key, first = group_codes(batch["entity_id"], salts)
+    idx = pa.array(first)
 
-def _union_json_col(df: pd.DataFrame, keys: list[str], col: str) -> pd.Series:
-    """Per-key sorted distinct union of JSON-list column values, vectorized
-    via explode → drop_duplicates; returns a keyed Series of JSON strings."""
-    t = df[keys].copy()
-    t["v"] = df[col].map(json.loads)
-    t = t.explode("v").drop_duplicates().sort_values(keys + ["v"])
-    return t.groupby(keys)["v"].agg(
-        lambda s: json.dumps(list(s), ensure_ascii=False)
-    )
+    def json_set(col: str) -> pa.Array:
+        return sorted_distinct_json(key, len(first), *factorize(batch[col]))
+
+    return pa.table({
+        "entity_id": batch["entity_id"].take(idx),
+        "salt": pa.array(salts[first], pa.int32()),
+        "canonical_name": batch["canonical_name"].take(idx),
+        "types_json": json_set("mention_type"),
+        "surfaces_json": json_set("surface"),
+        "count": np.bincount(key, minlength=len(first)).astype(np.int64),
+    })
 
 
 def _merge_partials_bucket(df: pd.DataFrame, keys: list[str]) -> pd.DataFrame:
     """Vectorized merge of phase-1 partials over every key in a bucket.
     canonical_name is constant per entity_id (KB canonical for linked ids,
-    normalized surface for unlinked), so 'first' is deterministic."""
-    agg = df.groupby(keys, as_index=False).agg(
-        canonical_name=("canonical_name", "first"), count=("count", "sum")
-    )
+    normalized surface for unlinked), so 'first' is deterministic; the type
+    and surface sets are the sorted distinct unions of the partials' lists
+    (``grouping.union_json_lists``)."""
+    from ..functions.grouping import union_json_lists
+
+    g = df.groupby(keys)
+    agg = g.agg(canonical_name=("canonical_name", "first"),
+                count=("count", "sum")).reset_index()
     agg["count"] = agg["count"].astype("int64")
-    types = _union_json_col(df, keys, "types_json").rename("types_json")
-    surfaces = _union_json_col(df, keys, "surfaces_json").rename(
-        "surfaces_json"
-    )
-    return agg.merge(types.reset_index(), on=keys).merge(
-        surfaces.reset_index(), on=keys
-    )
+    groups = g.ngroup().to_numpy()
+    for col in ("types_json", "surfaces_json"):
+        agg[col] = union_json_lists(groups, len(agg), df[col]).to_numpy(
+            zero_copy_only=False)
+    return agg
 
 
 def _merge_salt_bucket(df: pd.DataFrame) -> pd.DataFrame:
@@ -127,8 +120,7 @@ def _finalize_bucket(
     merged = _merge_partials_bucket(df, ["entity_id"])
     kb_type = merged["entity_id"].map(kb_type_by_id)
     min_type = merged["types_json"].map(
-        lambda tj: min(json.loads(tj)) if json.loads(tj) else "Text"
-    )
+        lambda tj: min(json.loads(tj), default="Text"))
     return pd.DataFrame(
         {
             "entity_id": merged["entity_id"],
@@ -159,5 +151,6 @@ def canonicalize_nodes(linked_mentions_ds, kb_rows: list[dict] | None = None):
     nodes = bucketed_group_apply(
         per_salt, "entity_id",
         lambda df: _finalize_bucket(df, kb_type_by_id),
+        empty_result=NODE_SCHEMA,
     )
     return nodes

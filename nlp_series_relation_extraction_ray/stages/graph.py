@@ -4,7 +4,11 @@ Edge identity = (src_id, dst_id, predicate, qualifiers); exact dedup is a
 hash-partition + per-group reduce: an in-batch combiner first collapses each
 batch to one partial row per edge key (carrying partial weight + a capped
 provenance sample), then one ``groupby(edge_key)`` merges partials.  Entity
-ids come from the broadcast-KB linker (map-side, no shuffle join).
+ids come from the broadcast-KB linker (map-side, no shuffle join), called
+once per batch for subjects and objects together, so each distinct
+``(surface, type)`` pair is scored once.  The combiner groups by dictionary
+codes and parses each distinct object JSON once; the merge's provenance
+union is one sort (``functions.grouping.union_json_lists``).
 
 Provenance is a deterministic sample: the lexicographically-first
 ``PROVENANCE_CAP`` "(conv_id, turn_idx)" refs — capped so a hot edge cannot
@@ -15,8 +19,10 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .linking import EntityLinker
 
@@ -36,54 +42,63 @@ EDGE_SCHEMA = pa.schema(
 
 class EdgePartials:
     """Map-side combiner: triple batch -> partial edge rows (one per worker
-    process through ``worker_cached``)."""
+    process through ``worker_cached``).
+
+    Each distinct ``(object_json, object_type_json)`` pair is parsed and its
+    qualifiers encoded once; subjects and objects are linked together in
+    one ``link_many`` call, so a pair is scored once per batch whichever
+    side it is on."""
 
     def __init__(self, alias_index_ref=None):
         self.linker = EntityLinker(alias_index_ref=alias_index_ref)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        acc: dict[tuple, dict] = {}
-        objs = batch["object_json"].to_pylist()
-        otypes_l = batch["object_type_json"].to_pylist()
-        subjects = batch["subject"].to_pylist()
-        stypes = batch["subject_type"].to_pylist()
-        preds = batch["predicate"].to_pylist()
-        convs = batch["conv_id"].to_pylist()
-        turns = batch["turn_idx"].to_pylist()
-        for i in range(batch.num_rows):
-            obj = json.loads(objs[i])
-            otypes = json.loads(otypes_l[i])
-            src_id, _ = self.linker.link_one(subjects[i], stypes[i])
-            dst_id, _ = self.linker.link_one(
-                obj.get("@value", ""), otypes.get("@value", "Text")
-            )
-            qualifiers = {k: v for k, v in obj.items() if k != "@value"}
-            key = (
-                src_id,
-                dst_id,
-                preds[i],
-                json.dumps(qualifiers, ensure_ascii=False, sort_keys=True),
-            )
-            prov = f"{convs[i]}:{turns[i]}"
-            a = acc.setdefault(key, {"weight": 0, "prov": []})
-            a["weight"] += 1
-            a["prov"].append(prov)
-        for a in acc.values():
-            # dedup BEFORE capping: duplicate (edge, prov) rows in one batch
-            # must not evict distinct refs the global merge would keep
-            a["prov"] = sorted(set(a["prov"]))[:PROVENANCE_CAP]
-        return pa.Table.from_pydict(
-            {
-                "src_id": pa.array([k[0] for k in acc], pa.string()),
-                "dst_id": pa.array([k[1] for k in acc], pa.string()),
-                "predicate": pa.array([k[2] for k in acc], pa.string()),
-                "qualifiers_json": pa.array([k[3] for k in acc], pa.string()),
-                "weight": pa.array([a["weight"] for a in acc.values()], pa.int64()),
-                "provenance_json": pa.array(
-                    [json.dumps(a["prov"]) for a in acc.values()], pa.string()
-                ),
-            }
+        from ..functions.grouping import (
+            factorize,
+            group_codes,
+            sorted_distinct_json,
         )
+
+        n = batch.num_rows
+        obj_codes, first = group_codes(batch["object_json"],
+                                       batch["object_type_json"])
+        idx = pa.array(first)
+        dst_surface, dst_type, quals = [], [], []
+        for oj, otj in zip(batch["object_json"].take(idx).to_pylist(),
+                           batch["object_type_json"].take(idx).to_pylist()):
+            obj, otypes = json.loads(oj), json.loads(otj)
+            dst_surface.append(obj.get("@value", ""))
+            dst_type.append(otypes.get("@value", "Text"))
+            quals.append(json.dumps(
+                {k: v for k, v in obj.items() if k != "@value"},
+                ensure_ascii=False, sort_keys=True))
+        back = pa.array(obj_codes)
+
+        def per_row(values):
+            return pa.array(values, pa.string()).take(back)
+
+        ids, _ = self.linker.link_many(
+            pa.concat_arrays([batch["subject"].combine_chunks(),
+                              per_row(dst_surface)]),
+            pa.concat_arrays([batch["subject_type"].combine_chunks(),
+                              per_row(dst_type)]))
+        src, dst, qual = ids[:n], ids[n:], per_row(quals)
+        edge, first = group_codes(src, dst, batch["predicate"], qual)
+        idx = pa.array(first)
+        prov = pc.binary_join_element_wise(
+            batch["conv_id"], pc.cast(batch["turn_idx"], pa.string()), ":")
+        # dedup BEFORE capping: duplicate (edge, prov) rows in one batch
+        # must not evict distinct refs the global merge would keep
+        return pa.table({
+            "src_id": src.take(idx),
+            "dst_id": dst.take(idx),
+            "predicate": batch["predicate"].take(idx),
+            "qualifiers_json": qual.take(idx),
+            "weight": np.bincount(edge, minlength=len(first)).astype(np.int64),
+            "provenance_json": sorted_distinct_json(
+                edge, len(first), *factorize(prov), cap=PROVENANCE_CAP,
+                ensure_ascii=True),
+        })
 
 
 _EDGE_KEY = ["src_id", "dst_id", "predicate", "qualifiers_json"]
@@ -91,19 +106,17 @@ _EDGE_KEY = ["src_id", "dst_id", "predicate", "qualifiers_json"]
 
 def _merge_edges_bucket(df: pd.DataFrame) -> pd.DataFrame:
     """Vectorized merge over every edge key in a hash bucket: weights sum
-    via groupby, provenance lists explode → dedup → sort → cap."""
-    w = df.groupby(_EDGE_KEY, as_index=False)["weight"].sum()
-    w["weight"] = w["weight"].astype("int64")
-    p = df[_EDGE_KEY].copy()
-    p["prov"] = df["provenance_json"].map(json.loads)
-    p = p.explode("prov").drop_duplicates().sort_values(_EDGE_KEY + ["prov"])
-    prov = (
-        p.groupby(_EDGE_KEY)["prov"]
-        .agg(lambda s: json.dumps(list(s)[:PROVENANCE_CAP]))
-        .rename("provenance_json")
-        .reset_index()
-    )
-    return w.merge(prov, on=_EDGE_KEY)
+    via groupby; provenance is the sorted distinct union of the partials'
+    lists, capped (``grouping.union_json_lists``)."""
+    from ..functions.grouping import union_json_lists
+
+    g = df.groupby(_EDGE_KEY)
+    out = g["weight"].sum().reset_index()
+    out["weight"] = out["weight"].astype("int64")
+    out["provenance_json"] = union_json_lists(
+        g.ngroup().to_numpy(), len(out), df["provenance_json"],
+        cap=PROVENANCE_CAP, ensure_ascii=True).to_numpy(zero_copy_only=False)
+    return out
 
 
 def _task_edge_partials(batch: pa.Table, ref_key, alias_index_ref) -> pa.Table:
@@ -133,4 +146,5 @@ def materialize_edges(triples_ds, alias_index_ref=None):
         fn_kwargs={"ref_key": ref_key, "alias_index_ref": alias_index_ref},
         batch_format="pyarrow",
     )
-    return bucketed_group_apply(partials, _EDGE_KEY, _merge_edges_bucket)
+    return bucketed_group_apply(partials, _EDGE_KEY, _merge_edges_bucket,
+                                empty_result=EDGE_SCHEMA)

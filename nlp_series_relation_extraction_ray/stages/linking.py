@@ -8,6 +8,12 @@ reference's pair scorer (``/root/reference/models/model_mhs_biaffine.py:10-28``:
 ``e1ᵀ W e2 + [e1;e2;1]·w``) over deterministic char-hash embeddings, so
 linking is reproducible without trained weights; a trained scorer drops into
 ``_score``.
+
+A batch is linked per distinct ``(surface, mention_type)`` pair, not per
+row (``EntityLinker.link_many``): the corpus repeats a few hundred pairs
+across every batch, so the scorer runs once per pair and batch, and the
+results are taken back out to the rows.  The node path (``task_link``) and
+the edge combiner (``graph.EdgePartials``) both link through it.
 """
 
 from __future__ import annotations
@@ -85,17 +91,26 @@ class EntityLinker:
         )
         return best["entity_id"], best["canonical_name"]
 
+    def link_many(self, surfaces, types) -> tuple[pa.Array, pa.Array]:
+        """``link_one`` over two equal-length Arrow string columns, run once
+        per distinct ``(surface, mention_type)`` pair: the pairs are
+        dictionary-encoded, the distinct ones linked, and the results taken
+        back out to the rows.  Returns ``(entity_id, canonical_name)``."""
+        from ..functions.grouping import group_codes
+
+        pairs, first = group_codes(surfaces, types)
+        idx = pa.array(first)
+        linked = [self.link_one(s, t) for s, t in zip(
+            surfaces.take(idx).to_pylist(), types.take(idx).to_pylist())]
+        back = pa.array(pairs)
+        return tuple(
+            pa.array([r[k] for r in linked], pa.string()).take(back)
+            for k in (0, 1))
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        surfaces = batch["surface"].to_pylist()
-        types = batch["mention_type"].to_pylist()
-        ids, canon = [], []
-        for s, t in zip(surfaces, types):
-            eid, cn = self.link_one(s, t)
-            ids.append(eid)
-            canon.append(cn)
-        return batch.append_column(
-            "entity_id", pa.array(ids, pa.string())
-        ).append_column("canonical_name", pa.array(canon, pa.string()))
+        ids, canon = self.link_many(batch["surface"], batch["mention_type"])
+        return batch.append_column("entity_id", ids).append_column(
+            "canonical_name", canon)
 
 
 def task_link(batch: pa.Table, ref_key, alias_index_ref) -> pa.Table:
@@ -113,33 +128,32 @@ def task_link(batch: pa.Table, ref_key, alias_index_ref) -> pa.Table:
 
 
 def mentions_from_triples(batch: pa.Table) -> pa.Table:
-    """Triples batch -> mention rows (subject + @value object per triple).
+    """Triples batch -> mention rows (subject + @value object per triple):
+    row ``2i`` is triple ``i``'s subject, row ``2i + 1`` its object.
 
     Qualifier slot values stay on edges as qualifiers; nodes are built from
-    subjects and primary objects.
+    subjects and primary objects.  Each distinct ``object_type_json`` is
+    parsed once.
     """
-    out = {"surface": [], "mention_type": [], "conv_id": [], "turn_idx": []}
-    convs = batch["conv_id"].to_pylist()
-    turns = batch["turn_idx"].to_pylist()
-    subjects = batch["subject"].to_pylist()
-    stypes = batch["subject_type"].to_pylist()
-    otypes_l = batch["object_type_json"].to_pylist()
-    ovals = batch["object_value"].to_pylist()
-    for i in range(batch.num_rows):
-        out["surface"].append(subjects[i])
-        out["mention_type"].append(stypes[i])
-        out["conv_id"].append(convs[i])
-        out["turn_idx"].append(turns[i])
-        otypes = json.loads(otypes_l[i])
-        out["surface"].append(ovals[i])
-        out["mention_type"].append(otypes.get("@value", "Text"))
-        out["conv_id"].append(convs[i])
-        out["turn_idx"].append(turns[i])
-    return pa.Table.from_pydict(
-        {
-            "surface": pa.array(out["surface"], pa.string()),
-            "mention_type": pa.array(out["mention_type"], pa.string()),
-            "conv_id": pa.array(out["conv_id"], pa.string()),
-            "turn_idx": pa.array(out["turn_idx"], pa.int32()),
-        }
-    )
+    from ..functions.grouping import group_codes
+
+    n = batch.num_rows
+    otype_codes, first = group_codes(batch["object_type_json"])
+    otypes = [json.loads(s).get("@value", "Text") for s in
+              batch["object_type_json"].take(pa.array(first)).to_pylist()]
+    otype = pa.array(otypes, pa.string()).take(pa.array(otype_codes))
+    row = np.arange(2 * n)
+    interleave = pa.array(row // 2 + (row % 2) * n)
+    per_triple = pa.array(row // 2)
+
+    def both(subject_col, object_col: pa.Array):
+        return pa.concat_arrays(
+            [subject_col.combine_chunks(), object_col]).take(interleave)
+
+    return pa.table({
+        "surface": both(batch["subject"],
+                        batch["object_value"].combine_chunks()),
+        "mention_type": both(batch["subject_type"], otype),
+        "conv_id": batch["conv_id"].take(per_triple),
+        "turn_idx": batch["turn_idx"].take(per_triple),
+    })

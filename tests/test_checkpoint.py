@@ -16,6 +16,9 @@ import time
 import pyarrow.parquet as pq
 import pytest
 
+from nlp_series_relation_extraction_ray.pipelines.extract import (
+    extract_triples,
+)
 from nlp_series_relation_extraction_ray.pipelines.kg import (
     build_kg,
     build_kg_resumable,
@@ -183,6 +186,40 @@ def test_kg_job_runs_outside_repo_root(no_ray_session, tmp_path, shards):
     assert not _session_alive(proc.pid)
 
 
+def test_kg_job_ignores_a_running_session(ray_session, tmp_path, shards):
+    """Without ``RAY_ADDRESS`` the job starts its own local session even
+    while another Ray session (this test's) runs on the machine: it never
+    attaches to it, so its workers import the package from the checkout."""
+    import ray
+
+    assert ray.is_initialized()
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("RAY_ADDRESS", "PYTHONPATH")}
+    proc = subprocess.Popen(
+        [sys.executable, os.path.join(REPO, "jobs", "kg_job.py"),
+         "--input", shards, "--output", str(tmp_path / "job_out"),
+         "--partitions", "2"],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=JOB_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise AssertionError(f"the job did not finish in {JOB_TIMEOUT_S} s")
+    assert proc.returncode == 0, stderr[-3000:]
+    assert "Connecting to existing Ray cluster" not in stdout + stderr
+    summary = json.loads(
+        next(ln for ln in stdout.splitlines() if ln.startswith("{")))
+    assert summary["extract"]["ran"] == 2
+    assert summary["nodes"]["ran"] == summary["edges"]["ran"] == 1
+
+    deadline = time.time() + 30
+    while _session_alive(proc.pid) and time.time() < deadline:
+        time.sleep(0.5)
+    assert not _session_alive(proc.pid)
+
+
 def test_empty_input_keeps_prior_output(ray_session, tmp_path, shards):
     """An input without Parquet files is an error raised before the output
     directory is touched: earlier checkpoints survive."""
@@ -242,10 +279,6 @@ def test_resumable_matches_build_kg(ray_session, tmp_path, shards):
 def test_rewritten_shard_reruns_its_partition(ray_session, tmp_path, shards):
     """A shard rewritten with a different size reruns its extraction
     partition, then nodes and edges; the other partitions are skipped."""
-    from nlp_series_relation_extraction_ray.pipelines.extract import (
-        extract_triples,
-    )
-
     out = str(tmp_path / "kg")
     build_kg_resumable(shards, out, n_partitions=4)
     path = os.path.join(shards, "shard-5.parquet")
@@ -260,6 +293,43 @@ def test_rewritten_shard_reruns_its_partition(ray_session, tmp_path, shards):
     assert s["nodes"]["ran"] == 1 and s["edges"]["ran"] == 1
     assert _triples_sorted(out).equals(
         _sorted(extract_triples(read_parquet_clean(shards))))
+
+
+def test_same_size_rewrite_reruns_its_partition(ray_session, tmp_path,
+                                                shards):
+    """A shard rewritten with different text of the same byte size, and a
+    newer mtime, reruns exactly its extraction partition: the partition
+    spec holds each file's ``st_mtime_ns`` next to its size."""
+    import pyarrow.compute as pc
+
+    path = os.path.join(shards, "shard-5.parquet")
+    table = transcripts_block(range(30, 36))
+    # uncompressed, plain-encoded, no statistics: the file size depends on
+    # the value lengths only, so a same-length text swap keeps it
+    plain = {"compression": "NONE", "use_dictionary": False,
+             "write_statistics": False}
+    pq.write_table(table, path, **plain)
+    out = str(tmp_path / "kg")
+    build_kg_resumable(shards, out, n_partitions=4)
+    before = _triples_sorted(out)
+
+    # 集 -> 团: one 3-byte character for another, so names stop matching
+    text = table.schema.get_field_index("text")
+    changed = table.set_column(
+        text, "text", pc.replace_substring(table["text"], "集", "团"))
+    assert changed["text"] != table["text"]
+    size, mtime = os.path.getsize(path), os.stat(path).st_mtime_ns
+    pq.write_table(changed, path, **plain)
+    os.utime(path, ns=(mtime + 10**9, mtime + 10**9))
+    assert os.path.getsize(path) == size
+
+    s = build_kg_resumable(shards, out, n_partitions=4)["summary"]
+    assert [p["status"] for p in s["extract"]["partitions"]] == [
+        "skipped", "skipped", "ran", "skipped"]
+    assert s["nodes"]["ran"] == 1 and s["edges"]["ran"] == 1
+    after = _triples_sorted(out)
+    assert not after.equals(before)
+    assert after.equals(_sorted(extract_triples(read_parquet_clean(shards))))
 
 
 def test_flagship_kg_kill_rerun_skips_and_identical(ray_session, tmp_path,

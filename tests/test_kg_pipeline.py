@@ -262,3 +262,51 @@ def test_explode_complex_slots(ray_session):
     assert {"@value"} < set(slots["slot_key"])
     got_26 = slots[slots["predicate"] == "获奖"]["slot_key"].unique()
     assert set(got_26) == {"@value", "inWork", "onDate", "period"}
+
+
+def test_build_kg_runs_five_executions(ray_session, tmp_path, monkeypatch):
+    """A written build plus reading its three results runs at most 5 Ray
+    Data executions: extract and write the triples, the node chain, the
+    edge chain, and the two writes.  Nodes and edges are not read back
+    (7 executions when they were)."""
+    from test_graph_analytics import _count_executions
+
+    calls = _count_executions(monkeypatch)
+    res = build_kg(t.transcripts_dataset(60), out_dir=str(tmp_path / "kg"))
+    n = res["triples"].count()
+    nodes, edges = res["nodes"].to_pandas(), res["edges"].to_pandas()
+    assert len(calls) <= 5
+    assert n > 0 and len(nodes) > 0 and int(edges["weight"].sum()) == n
+
+
+def _no_fact_transcripts(n_convs: int):
+    """Transcripts whose every turn reads 你好: extraction finds nothing."""
+    import pyarrow.compute as pc
+    import ray
+
+    blk = t.transcripts_block(range(n_convs))
+    text = blk.schema.get_field_index("text")
+    return ray.data.from_arrow(blk.set_column(
+        text, "text", pc.if_else(pc.is_null(blk["text"]), "你好", "你好")))
+
+
+@pytest.mark.parametrize("written", [False, True])
+def test_build_kg_without_triples_is_typed_and_empty(ray_session, tmp_path,
+                                                     written):
+    """An input that yields no triple gives zero-row triples, nodes and
+    edges that keep their documented columns, with or without ``out_dir``
+    (a zero-row write leaves no triples file to read back)."""
+    from nlp_series_relation_extraction_ray.stages.canonicalize import (
+        NODE_SCHEMA,
+    )
+    from nlp_series_relation_extraction_ray.stages.format_spo import (
+        TRIPLE_SCHEMA,
+    )
+    from nlp_series_relation_extraction_ray.stages.graph import EDGE_SCHEMA
+
+    out = str(tmp_path / "kg") if written else None
+    res = build_kg(_no_fact_transcripts(6), out_dir=out)
+    for key, schema in (("triples", TRIPLE_SCHEMA), ("nodes", NODE_SCHEMA),
+                        ("edges", EDGE_SCHEMA)):
+        assert res[key].count() == 0, key
+        assert res[key].schema().names == schema.names, key
