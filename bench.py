@@ -29,6 +29,7 @@ import shutil
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -63,9 +64,7 @@ def _warmup() -> None:
         transcripts_dataset,
     )
 
-    extract_triples(
-        transcripts_dataset(2000), head="baseline", batch_size=64
-    ).count()
+    extract_triples(transcripts_dataset(2000), head="baseline").count()
     # warm the shuffle/reduce path too (groupby Sort spawns its own
     # workers): the first shuffle query otherwise pays the fleet spawn —
     # the round-3 near-dup cold/warm gap (10.2 vs 6.9 s) was exactly this
@@ -98,9 +97,7 @@ def bench_extraction(
 
     n_convs = _n_convs(sf_dir, multiplier)
     t0 = time.time()
-    triples = extract_triples(
-        transcripts_dataset(n_convs), head=head, batch_size=64
-    ).count()
+    triples = extract_triples(transcripts_dataset(n_convs), head=head).count()
     wall = time.time() - t0
     n_turns_total = _count_turns(n_convs)
     return {
@@ -502,7 +499,6 @@ def dump_stats(sf_dir: str, num_cpus: int) -> None:
         _warmup()
         ds = extract_triples(
             transcripts_dataset(_n_convs(sf_dir)), head="baseline",
-            batch_size=64,
         ).materialize()
         path = "/tmp/bench_extract_stats.txt"
         with open(path, "w") as f:
@@ -610,13 +606,38 @@ def _to_pandas(res):
     return res
 
 
+@contextmanager
+def _counted_executions():
+    """Yields a list that gets one entry per Ray Data execution started
+    inside the block (``StreamingExecutor.execute`` patched meanwhile)."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    calls: list = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return execute(self, *args, **kwargs)
+
+    StreamingExecutor.execute = counted
+    try:
+        yield calls
+    finally:
+        StreamingExecutor.execute = execute
+
+
 def run_parity(sf_dir: str, out_path: str) -> dict:
     """The builder-side replica of the driver's correctness gate, as a
     reproducible artifact: EVERY queries() entry runs against its
     oracle_sql() DuckDB mirror at ``sf_dir`` and gets a driver-format row
     ``{rows_match, schema_match, hash_match, ray_rows, oracle_rows,
     wall_s, err}``; rows-only queries (no oracle by design) are enumerated
-    with their named pytest pin.  Ray must already be initialised."""
+    with their named pytest pin.  Each row also holds ``ray_s`` (the query
+    call plus ``to_pandas``), ``oracle_s`` (the DuckDB SQL) and
+    ``executions`` (Ray Data executions started during ``ray_s``).  Ray
+    must already be initialised."""
     import duckdb
 
     import __ray_entry__ as entry
@@ -634,7 +655,11 @@ def run_parity(sf_dir: str, out_path: str) -> dict:
         t0 = time.time()
         row: dict = {}
         try:
-            rdf = _to_pandas(fn(sf_dir))
+            t_ray = time.perf_counter()
+            with _counted_executions() as executions:
+                rdf = _to_pandas(fn(sf_dir))
+            row["ray_s"] = round(time.perf_counter() - t_ray, 3)
+            row["executions"] = len(executions)
             row["ray_rows"] = int(len(rdf))
             sql = oracles.get(name)
             if sql is None:
@@ -650,7 +675,9 @@ def run_parity(sf_dir: str, out_path: str) -> dict:
                     "pytest_pin": pin,
                 })
             else:
+                t_oracle = time.perf_counter()
                 odf = con.execute(sql).df()
+                row["oracle_s"] = round(time.perf_counter() - t_oracle, 3)
                 rcf, ocf = _canon_for_hash(rdf), _canon_for_hash(odf)
                 row.update({
                     "oracle_rows": int(len(odf)),

@@ -14,9 +14,7 @@ metadata; ``merge_plan`` turns them into a plan (the one size gate, which
 
 - ``single``: at or below ``SINGLE_BLOCK_MAX_ROWS`` rows and
   ``SINGLE_BLOCK_MAX_BYTES`` bytes, the input is collected through the
-  driver and ``fn`` runs once over all of it on the driver; the output is
-  a materialized dataset (``from_pandas``), so no further Ray Data
-  execution runs and a downstream ``materialize()`` is free.  Driver
+  driver and ``fn`` runs once over all of it on the driver.  Driver
   memory holds the input (which the byte limit bounds) and ``fn``'s
   output.  Most merges here see such inputs, because the map-side
   combiners already shrink corpus-sized inputs to key-sized partials,
@@ -31,10 +29,14 @@ metadata; ``merge_plan`` turns them into a plan (the one size gate, which
   pure function of the key columns.
 
 Either way the output is the concatenation of ``fn``'s frames — the same
-rows as per-group ``map_groups``, in no guaranteed order.  Each call logs
-one INFO record whose ``stats`` attribute holds the keys, the plan, the
-input rows and bytes and the bucket count; the distributed plan logs a
-second one with the rows each bucket received (the measured skew).
+rows as per-group ``map_groups``, in no guaranteed order — returned
+materialized: its blocks are in the object store already, so reading it
+(``to_pandas``, ``iter_batches``) starts no further Ray Data execution,
+while a bare ``from_pandas``/``from_pandas_refs`` dataset would start one
+per read.  Each call logs one INFO record whose ``stats`` attribute holds
+the keys, the plan, the input rows and bytes and the bucket count; the
+distributed plan logs a second one with the rows each bucket received (the
+measured skew).
 
 The hash is ``pandas.util.hash_pandas_object`` (fixed internal key —
 deterministic across processes and machines, vectorized over the column).
@@ -195,7 +197,8 @@ def hash_bucket_apply(ds, keys: list[str], fn, n_buckets: int):
             for b in np.flatnonzero(bucket_rows)]
     out_rows = ray.get([n for _, n in outs])
     return ray.data.from_pandas_refs(
-        [df for (df, _), n in zip(outs, out_rows) if n] or [outs[0][0]])
+        [df for (df, _), n in zip(outs, out_rows) if n] or [outs[0][0]]
+    ).materialize()
 
 
 def bucketed_group_apply(ds, keys, fn, empty_result=None):
@@ -238,8 +241,9 @@ def bucketed_group_apply(ds, keys, fn, empty_result=None):
     if plan == "single":
         out = apply(_collect(ds))
         if len(out) == 0 and isinstance(empty_result, pa.Schema):
-            return ray.data.from_arrow(empty_result.empty_table())
-        return ray.data.from_pandas(out)
+            return ray.data.from_arrow(
+                empty_result.empty_table()).materialize()
+        return ray.data.from_pandas(out).materialize()
     return hash_bucket_apply(ds, keys, apply, n_buckets)
 
 

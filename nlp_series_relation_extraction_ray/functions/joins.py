@@ -10,7 +10,8 @@ Two physical strategies, chosen by side size:
   shuffle fabric's size gate (``grouping.merge_plan``, one plan record per
   call) picks where the join runs.  When both sides together fit the
   single-block limits, they are collected through the driver and joined
-  there by one pandas merge: no union and no further Ray Data execution.
+  there by one pandas merge: no union, and the result is materialized, so
+  reading it starts no further Ray Data execution.
   Above the limits both sides are tagged and unioned, one hash-bucket
   shuffle co-locates matching keys, and each bucket runs the same merge —
   the general path for two large tables.  Skewed keys hurt the shuffle
@@ -157,7 +158,8 @@ def shuffle_join(left_ds, right_ds, on, l_cols=None, r_cols=None):
     plan, n_buckets = merge_plan(on, left_ds, right_ds)
     if plan == "single":
         return ray.data.from_pandas(
-            join(cast(left_ds.to_pandas()), cast(right_ds.to_pandas())))
+            join(cast(left_ds.to_pandas()), cast(right_ds.to_pandas()))
+        ).materialize()
     tagged = left_ds.map_batches(tag("l"), batch_format="pandas").union(
         right_ds.map_batches(tag("r"), batch_format="pandas")
     )

@@ -4,7 +4,10 @@
                                              └─ edge combine → dedup/weight → edges
 
 Extraction runs as task-based ``map_batches`` with a per-worker cached
-extractor (``extract_triples``), fused with the read.
+extractor (``extract_triples``).  The map sets no ``batch_size`` (Ray fuses
+a Read only with a map that has none), so with ``out_dir`` the extraction
+runs as one ``ReadParquet->MapBatches(_task_extract)->Write`` task per
+block.
 
 Stage boundaries are Parquet directories: ``out_dir/triples``,
 ``out_dir/nodes``, ``out_dir/edges``.  Only the triples are read back:
@@ -134,10 +137,10 @@ def build_kg(transcripts_ds, head: str = "baseline", out_dir: str | None = None)
 
     alias_ref = ray.put(build_alias_index())
 
-    # the merges' outputs are in the object store already: materialize()
-    # runs nothing, and reading the result back runs no execution either
-    nodes = kg_nodes(triples, alias_index_ref=alias_ref).materialize()
-    edges = kg_edges(triples, alias_index_ref=alias_ref).materialize()
+    # both end in a merge, which returns its output materialized: reading
+    # it back runs no execution
+    nodes = kg_nodes(triples, alias_index_ref=alias_ref)
+    edges = kg_edges(triples, alias_index_ref=alias_ref)
     if out_dir:
         nodes.write_parquet(f"{out_dir}/nodes", mode="overwrite")
         edges.write_parquet(f"{out_dir}/edges", mode="overwrite")

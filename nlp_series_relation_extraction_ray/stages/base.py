@@ -5,7 +5,8 @@ The reference implements four parallel extraction heads, each the triple
 run script (``/root/reference/run_baseline.py:144-225``, ``run_mpn.py:110-209``,
 ``run_mhs.py:101-213``, ``run_mhs_biaffine.py:101-215``).  Here a head is a
 class with three methods, and the extraction stage
-(``pipelines/extract.py``) calls them per turn inside ``map_batches``:
+(``pipelines/extract.py``) calls them once per distinct turn of a block
+inside ``map_batches``:
 
 - ``preprocess(text) -> ex`` : tokenize + alignment (an ``Example`` analog);
 - ``oracle_scores(ex, spo_list)`` : synthesize the probabilities a perfect
@@ -18,7 +19,10 @@ class with three methods, and the extraction stage
 
 from __future__ import annotations
 
+import functools
 from typing import Protocol
+
+import pyarrow as pa
 
 
 class Head(Protocol):
@@ -98,22 +102,31 @@ def worker_cached(kind, builder, version=None):
 TURN_COLUMNS = ["conv_id", "turn_idx", "text"]
 
 
-def map_turns(transcripts_ds, fn, batch_size: int, kwargs=None):
-    """The one extraction ``map_batches``: Arrow batches of the turn
-    columns through the task function ``fn`` with ``kwargs`` as its
+def map_turns(transcripts_ds, fn, batch_size: int | None = None, kwargs=None):
+    """The one extraction ``map_batches``: each block's turn columns as one
+    Arrow table through the task function ``fn`` with ``kwargs`` as its
     keyword arguments.
 
-    Only ``TURN_COLUMNS`` are kept, so role/tool/ts are dropped before they
-    ship through the object store (when reading Parquet, pair this with
-    ``read_parquet(columns=...)``).  The input's schema is read only if it
-    is known without running the input; a lazy input is pruned
-    unconditionally, which the extraction UDFs allow since they read every
-    turn column.  A stage with state (a head, broadcast weights) builds it
-    once per worker process through :func:`worker_cached`; the tasks fuse
-    with the upstream read.
+    The map sets no ``batch_size``, because Ray fuses a Read only with a
+    map that has none: reading a Parquet block and extracting it is one
+    ``ReadParquet->MapBatches(<fn>)`` task, and no block crosses the
+    object store between them.  (A read that splits its files into more
+    blocks, which Ray does when there are fewer files than twice the
+    CPUs, fuses with nothing.)  The task projects the block to
+    ``TURN_COLUMNS`` (role/tool/ts are never shipped) and, with
+    ``batch_size`` set, hands ``fn`` slices of at most that many rows (the
+    bound of a padded per-batch tensor).  A stage with state (a head,
+    broadcast weights) builds it once per worker process through
+    :func:`worker_cached`.
     """
-    schema = transcripts_ds.schema(fetch_if_missing=False)
-    if schema is None or set(TURN_COLUMNS) < set(schema.names):
-        transcripts_ds = transcripts_ds.select_columns(TURN_COLUMNS)
+    @functools.wraps(fn)  # the plan names the operator after fn
+    def per_block(block, **kw):
+        block = block.select(TURN_COLUMNS)
+        if batch_size is None or block.num_rows <= batch_size:
+            return fn(block, **kw)
+        return pa.concat_tables(
+            [fn(block.slice(lo, batch_size), **kw)
+             for lo in range(0, block.num_rows, batch_size)])
+
     return transcripts_ds.map_batches(
-        fn, fn_kwargs=kwargs, batch_format="pyarrow", batch_size=batch_size)
+        per_block, fn_kwargs=kwargs, batch_format="pyarrow", batch_size=None)
