@@ -29,7 +29,6 @@ import shutil
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -606,38 +605,13 @@ def _to_pandas(res):
     return res
 
 
-@contextmanager
-def _counted_executions():
-    """Yields a list that gets one entry per Ray Data execution started
-    inside the block (``StreamingExecutor.execute`` patched meanwhile)."""
-    from ray.data._internal.execution.streaming_executor import (
-        StreamingExecutor,
-    )
-
-    calls: list = []
-    execute = StreamingExecutor.execute
-
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return execute(self, *args, **kwargs)
-
-    StreamingExecutor.execute = counted
-    try:
-        yield calls
-    finally:
-        StreamingExecutor.execute = execute
-
-
 def run_parity(sf_dir: str, out_path: str) -> dict:
     """The builder-side replica of the driver's correctness gate, as a
     reproducible artifact: EVERY queries() entry runs against its
     oracle_sql() DuckDB mirror at ``sf_dir`` and gets a driver-format row
     ``{rows_match, schema_match, hash_match, ray_rows, oracle_rows,
     wall_s, err}``; rows-only queries (no oracle by design) are enumerated
-    with their named pytest pin.  Each row also holds ``ray_s`` (the query
-    call plus ``to_pandas``), ``oracle_s`` (the DuckDB SQL) and
-    ``executions`` (Ray Data executions started during ``ray_s``).  Ray
-    must already be initialised."""
+    with their named pytest pin.  Ray must already be initialised."""
     import duckdb
 
     import __ray_entry__ as entry
@@ -655,11 +629,7 @@ def run_parity(sf_dir: str, out_path: str) -> dict:
         t0 = time.time()
         row: dict = {}
         try:
-            t_ray = time.perf_counter()
-            with _counted_executions() as executions:
-                rdf = _to_pandas(fn(sf_dir))
-            row["ray_s"] = round(time.perf_counter() - t_ray, 3)
-            row["executions"] = len(executions)
+            rdf = _to_pandas(fn(sf_dir))
             row["ray_rows"] = int(len(rdf))
             sql = oracles.get(name)
             if sql is None:
@@ -675,9 +645,7 @@ def run_parity(sf_dir: str, out_path: str) -> dict:
                     "pytest_pin": pin,
                 })
             else:
-                t_oracle = time.perf_counter()
                 odf = con.execute(sql).df()
-                row["oracle_s"] = round(time.perf_counter() - t_oracle, 3)
                 rcf, ocf = _canon_for_hash(rdf), _canon_for_hash(odf)
                 row.update({
                     "oracle_rows": int(len(odf)),

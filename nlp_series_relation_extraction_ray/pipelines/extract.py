@@ -11,12 +11,12 @@ Ray-Data-first layout (SURVEY §7.1 step 2/3):
 
 The Extractor is a STATEFUL stage, built once per task worker through
 ``worker_cached``: head construction, schema dicts and (for real models)
-weights load once in ``__init__``; ``__call__`` scores+decodes each
-distinct turn of one Arrow block once and emits triple rows through
-``fan_out_triples`` — score and decode are fused in-call so per-example
-logit tensors (incl. the O(L²R) MHS tensor) never become dataset rows and
-no cross-batch state exists (the reference's driver-side ``answer_dict``
-accumulator, ``run_mpn.py:70``, is eliminated).
+weights load once in ``__init__``; ``__call__`` scores+decodes one Arrow
+block turn by turn and emits triple rows through ``triples_table`` — score
+and decode are fused in-call so per-example logit tensors (incl. the
+O(L²R) MHS tensor) never become dataset rows and no cross-batch state
+exists (the reference's driver-side ``answer_dict`` accumulator,
+``run_mpn.py:70``, is eliminated).
 
 Scorers are pluggable (SURVEY §7.0): the default "oracle" scorer synthesizes
 the probabilities a perfect model would emit from the deterministic fixture
@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pyarrow as pa
 
 from ..sources import transcripts as tsrc
 from ..stages import base as stages_base
-from ..stages.format_spo import fan_out_triples
+from ..stages.format_spo import triples_table
 
 ENTITY_SCHEMA = pa.schema(
     [
@@ -53,17 +52,7 @@ def _synthetic_gold(conv_id: str, turn_idx: int) -> list[dict]:
 class Extractor:
     """Oracle-head stage for ``map_batches``: the gold is re-derived from
     the deterministic fixture arithmetic — fully streaming, nothing
-    broadcast.
-
-    A turn's output is a pure function of its text and its gold, so
-    ``__call__`` runs ``preprocess -> oracle_scores -> decode`` once per
-    distinct turn of the block and fans the result back out to its rows,
-    in row order.  The key is the text; a result is reused only for a row
-    whose gold compares equal (``==``) to the one it was computed with,
-    so two turns with the same text and different gold each run the
-    head.  Each distinct turn's triples are also encoded (the JSON of
-    their object dicts) once.
-    """
+    broadcast."""
 
     def __init__(self, head: str, emit: str = "triples"):
         self.head = stages_base.get_head(head)
@@ -71,37 +60,25 @@ class Extractor:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         head = self.head
-        triples = self.emit == "triples"
-        seen: dict[str, list] = {}  # text -> [(gold, distinct index)]
-        outs = []  # per distinct turn: its spo list or entities JSON
-        keys = []
+        rows = []
         for cid, tix, text in zip(
             batch["conv_id"].to_pylist(),
             batch["turn_idx"].to_pylist(),
             batch["text"].to_pylist(),
         ):
-            gold = _synthetic_gold(cid, tix)
-            hits = seen.setdefault(text, [])
-            for g, k in hits:
-                if g == gold:
-                    break
+            ex = head.preprocess(text)
+            scores = head.oracle_scores(ex, _synthetic_gold(cid, tix))
+            entity_list, spo_list = head.decode(ex, scores)
+            if self.emit == "entities":
+                rows.append((cid, tix, head.name,
+                             json.dumps(entity_list, ensure_ascii=False)))
             else:
-                k = len(outs)
-                hits.append((gold, k))
-                ex = head.preprocess(text)
-                entity_list, spo_list = head.decode(
-                    ex, head.oracle_scores(ex, gold))
-                outs.append(spo_list if triples else
-                            json.dumps(entity_list, ensure_ascii=False))
-            keys.append(k)
-        keys = np.array(keys, np.int64)
-        if triples:
-            return fan_out_triples(batch, head.name, outs, keys)
+                rows.extend((cid, tix, head.name, spo) for spo in spo_list)
+        if self.emit == "triples":
+            return triples_table(rows)
+        cols = zip(*rows) if rows else [()] * len(ENTITY_SCHEMA)
         return pa.Table.from_arrays(
-            [batch["conv_id"].cast(pa.string()).combine_chunks(),
-             batch["turn_idx"].cast(pa.int32()).combine_chunks(),
-             pa.array([head.name] * batch.num_rows, pa.string()),
-             pa.array(outs, pa.string()).take(keys)],
+            [pa.array(list(c), f.type) for c, f in zip(cols, ENTITY_SCHEMA)],
             schema=ENTITY_SCHEMA,
         )
 

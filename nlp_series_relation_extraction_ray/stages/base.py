@@ -5,8 +5,7 @@ The reference implements four parallel extraction heads, each the triple
 run script (``/root/reference/run_baseline.py:144-225``, ``run_mpn.py:110-209``,
 ``run_mhs.py:101-213``, ``run_mhs_biaffine.py:101-215``).  Here a head is a
 class with three methods, and the extraction stage
-(``pipelines/extract.py``) calls them once per distinct turn of a block
-inside ``map_batches``:
+(``pipelines/extract.py``) calls them per turn inside ``map_batches``:
 
 - ``preprocess(text) -> ex`` : tokenize + alignment (an ``Example`` analog);
 - ``oracle_scores(ex, spo_list)`` : synthesize the probabilities a perfect

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pyarrow as pa
 
 from ..schema import (
@@ -46,48 +45,22 @@ TRIPLE_SCHEMA = pa.schema(
 )
 
 
-def _spo_fields(spo: dict) -> tuple:
-    """The six spo columns of a triples row: ``object_json`` /
-    ``object_type_json`` are the spo's dicts as sorted-key JSON with raw
-    (unescaped) CJK; ``object_value`` is the ``@value`` slot."""
-    return (spo["predicate"], spo["subject"], spo["subject_type"],
-            json.dumps(spo["object"], ensure_ascii=False, sort_keys=True),
-            json.dumps(spo["object_type"], ensure_ascii=False, sort_keys=True),
-            spo["object"].get("@value", ""))
-
-
-def _columns(recs, fields) -> list[pa.Array]:
-    cols = zip(*recs) if recs else [()] * len(fields)
-    return [pa.array(list(c), f.type) for c, f in zip(cols, fields)]
-
-
 def triples_table(rows) -> pa.Table:
-    """``(conv_id, turn_idx, head, spo)`` rows -> a ``TRIPLE_SCHEMA`` table."""
-    recs = [(cid, tix, head, *_spo_fields(spo))
-            for cid, tix, head, spo in rows]
-    return pa.Table.from_arrays(_columns(recs, TRIPLE_SCHEMA),
-                                schema=TRIPLE_SCHEMA)
+    """``(conv_id, turn_idx, head, spo)`` rows -> a ``TRIPLE_SCHEMA`` table.
 
-
-def fan_out_triples(turns: pa.Table, head: str, spo_lists: list,
-                    keys: np.ndarray) -> pa.Table:
-    """The ``TRIPLE_SCHEMA`` table of ``turns`` (``conv_id``, ``turn_idx``)
-    whose row ``r`` extracted ``spo_lists[keys[r]]``: equal to
-    ``triples_table`` over the rows in order, but each distinct spo list is
-    encoded once and the rows take their triples by index."""
-    recs = [_spo_fields(spo) for spos in spo_lists for spo in spos]
-    sizes = np.array([len(spos) for spos in spo_lists], np.int64)
-    starts = np.cumsum(sizes) - sizes
-    per_row = sizes[keys]
-    rows = np.repeat(np.arange(len(keys)), per_row)
-    # triple j of row r is record starts[keys[r]] + (j - first triple of r)
-    first = np.cumsum(per_row) - per_row
-    take = np.repeat(starts[keys] - first, per_row) + np.arange(len(rows))
-    spo_cols = [c.take(take) for c in _columns(recs, list(TRIPLE_SCHEMA)[3:])]
+    ``object_json`` / ``object_type_json`` are the spo's dicts as sorted-key
+    JSON with raw (unescaped) CJK; ``object_value`` is the ``@value`` slot.
+    """
+    recs = [
+        (cid, tix, head, spo["predicate"], spo["subject"], spo["subject_type"],
+         json.dumps(spo["object"], ensure_ascii=False, sort_keys=True),
+         json.dumps(spo["object_type"], ensure_ascii=False, sort_keys=True),
+         spo["object"].get("@value", ""))
+        for cid, tix, head, spo in rows
+    ]
+    cols = zip(*recs) if recs else [()] * len(TRIPLE_SCHEMA)
     return pa.Table.from_arrays(
-        [turns["conv_id"].cast(pa.string()).combine_chunks().take(rows),
-         turns["turn_idx"].cast(pa.int32()).combine_chunks().take(rows),
-         pa.array([head] * len(rows), pa.string()), *spo_cols],
+        [pa.array(list(c), f.type) for c, f in zip(cols, TRIPLE_SCHEMA)],
         schema=TRIPLE_SCHEMA,
     )
 

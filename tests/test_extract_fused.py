@@ -1,14 +1,10 @@
-"""Extraction runs once per distinct turn of a block, in one fused task.
+"""Extraction runs in one fused task per block.
 
-``_ref_extract`` below is the per-row loop the oracle ``Extractor`` used
-to be: every row preprocessed, scored and decoded on its own, its triples
-encoded row by row.  It is the oracle for the distinct-turn extractor,
-which must return the same table (values, types and row order) for both
-``emit`` values.  The Ray tests pin the physical plan: over Parquet, each
-extraction is one ``ReadParquet->MapBatches(...)`` operator.
+Ray fuses a Read only with a map that sets no ``batch_size``, so
+``stages.base.map_turns`` maps whole blocks.  The Ray tests pin the
+physical plan: over Parquet, each extraction is one
+``ReadParquet->MapBatches(...)`` operator.
 """
-
-import json
 
 import numpy as np
 import pyarrow as pa
@@ -19,149 +15,16 @@ from nlp_series_relation_extraction_ray.pipelines import extract
 from nlp_series_relation_extraction_ray.sources.transcripts import (
     transcripts_block,
 )
-from nlp_series_relation_extraction_ray.stages.format_spo import triples_table
+from test_graph_analytics import _count_executions
 
 HEADS = ("baseline", "mpn", "mhs", "biaffine")
-EMITS = ("triples", "entities")
-
-
-def _ref_extract(head, emit: str, batch: pa.Table) -> pa.Table:
-    rows = []
-    for cid, tix, text in zip(
-        batch["conv_id"].to_pylist(),
-        batch["turn_idx"].to_pylist(),
-        batch["text"].to_pylist(),
-    ):
-        ex = head.preprocess(text)
-        scores = head.oracle_scores(ex, extract._synthetic_gold(cid, tix))
-        entity_list, spo_list = head.decode(ex, scores)
-        if emit == "entities":
-            rows.append((cid, tix, head.name,
-                         json.dumps(entity_list, ensure_ascii=False)))
-        else:
-            rows.extend((cid, tix, head.name, spo) for spo in spo_list)
-    if emit == "triples":
-        return triples_table(rows)
-    cols = zip(*rows) if rows else [()] * len(extract.ENTITY_SCHEMA)
-    return pa.Table.from_arrays(
-        [pa.array(list(c), f.type)
-         for c, f in zip(cols, extract.ENTITY_SCHEMA)],
-        schema=extract.ENTITY_SCHEMA,
-    )
 
 
 def _block(n_convs: int = 60, seed: int = 3) -> pa.Table:
-    """Turns of ``n_convs`` conversations in seeded row order: greetings
-    and fact sentences repeat across conversations."""
+    """Turns of ``n_convs`` conversations in seeded row order."""
     tbl = transcripts_block(range(n_convs))
     order = np.random.default_rng(seed).permutation(tbl.num_rows)
     return tbl.take(pa.array(order))
-
-
-def _spy_decode(monkeypatch, ext) -> list:
-    calls = []
-    decode = ext.head.decode
-
-    def counted(ex, scores):
-        calls.append(1)
-        return decode(ex, scores)
-
-    monkeypatch.setattr(ext.head, "decode", counted)
-    return calls
-
-
-def _distinct_keys(batch: pa.Table) -> int:
-    return len({
-        (text, json.dumps(extract._synthetic_gold(cid, tix), sort_keys=True))
-        for cid, tix, text in zip(batch["conv_id"].to_pylist(),
-                                  batch["turn_idx"].to_pylist(),
-                                  batch["text"].to_pylist())
-    })
-
-
-@pytest.mark.parametrize("emit", EMITS)
-@pytest.mark.parametrize("head", HEADS)
-def test_each_distinct_turn_is_extracted_once(monkeypatch, head, emit):
-    batch = _block()
-    ext = extract.Extractor(head, emit=emit)
-    want = _ref_extract(ext.head, emit, batch)
-    calls = _spy_decode(monkeypatch, ext)
-    got = ext(batch)
-    assert got.schema == want.schema
-    assert got.equals(want)
-    n_distinct = _distinct_keys(batch)
-    assert len(calls) == n_distinct < batch.num_rows
-
-
-@pytest.mark.parametrize("emit", EMITS)
-def test_same_text_with_other_gold_is_extracted_again(monkeypatch, emit):
-    """Two turns with the same text and different gold give different
-    output; a third with the first one's gold reuses its result."""
-    real_gold = extract._synthetic_gold
-    block = _block(20)
-    has_fact = [bool(real_gold(c, t)) for c, t in zip(
-        block["conv_id"].to_pylist(), block["turn_idx"].to_pylist())]
-    r = has_fact.index(True)
-    fact_row = block.slice(r, 1)
-    # the same turn under another conversation id, whose gold is empty
-    no_gold = fact_row.set_column(
-        0, "conv_id", pa.array(["conv-no-gold"], pa.string()))
-    batch = pa.concat_tables([fact_row, no_gold, fact_row, block])
-    monkeypatch.setattr(
-        extract, "_synthetic_gold",
-        lambda cid, tix: [] if cid == "conv-no-gold" else real_gold(cid, tix))
-
-    ext = extract.Extractor("mpn", emit=emit)
-    want = _ref_extract(ext.head, emit, batch)
-    calls = _spy_decode(monkeypatch, ext)
-    got = ext(batch)
-    assert got.equals(want) and got.schema == want.schema
-    assert len(calls) == _distinct_keys(batch)
-    out = got.to_pandas()
-    first = out[out["conv_id"] == fact_row["conv_id"][0].as_py()]
-    other = out[out["conv_id"] == "conv-no-gold"]
-    if emit == "triples":
-        assert len(first) >= 2 and len(other) == 0  # rows 0 and 2 both emit
-    else:
-        assert first["entities_json"].iloc[0] != other["entities_json"].iloc[0]
-
-
-@pytest.mark.parametrize("emit", EMITS)
-def test_empty_block_is_typed(emit):
-    batch = _block(2).slice(0, 0)
-    ext = extract.Extractor("baseline", emit=emit)
-    got = ext(batch)
-    want = _ref_extract(ext.head, emit, batch)
-    assert got.num_rows == 0 and got.schema == want.schema
-
-
-# ------------------------------------------------------------------ plans
-
-
-def _physical_plans(monkeypatch) -> list:
-    """One entry per Ray Data execution: the names of its physical
-    operators, upstream first."""
-    from ray.data._internal.execution.streaming_executor import (
-        StreamingExecutor,
-    )
-
-    plans = []
-    execute = StreamingExecutor.execute
-
-    def recorded(self, dag, *args, **kwargs):
-        names = []
-
-        def walk(op):
-            for dep in op.input_dependencies:
-                walk(dep)
-            names.append(op.name)
-
-        walk(dag)
-        plans.append(names)
-        return execute(self, dag, *args, **kwargs)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", recorded)
-    return plans
 
 
 @pytest.fixture(scope="module")
@@ -189,7 +52,7 @@ def test_oracle_extraction_fuses_with_the_read(ray_session, monkeypatch,
         read_parquet_clean,
     )
 
-    plans = _physical_plans(monkeypatch)
+    plans = _count_executions(monkeypatch)
     out = extract.extract_triples(read_parquet_clean(corpus_dir),
                                   head=head).to_pandas()
     assert len(out) > 0
@@ -208,7 +71,7 @@ def test_trained_extraction_fuses_with_the_read(ray_session, monkeypatch,
 
     weights = ray.put((np.zeros((tsc.F_DIM, 112), np.float32),
                        np.full(112, -10.0, np.float32)))
-    plans = _physical_plans(monkeypatch)
+    plans = _count_executions(monkeypatch)
     tsc.extract_triples_trained(read_parquet_clean(corpus_dir),
                                 weights).to_pandas()
     assert [_map_ops(p) for p in plans] == [
@@ -223,7 +86,7 @@ def test_build_kg_extracts_in_the_read_and_write_task(ray_session,
         read_parquet_clean,
     )
 
-    plans = _physical_plans(monkeypatch)
+    plans = _count_executions(monkeypatch)
     out = build_kg(read_parquet_clean(corpus_dir), out_dir=str(tmp_path))
     assert out["triples"].count() > 0
     assert _map_ops(plans[0]) == [

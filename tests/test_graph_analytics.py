@@ -222,6 +222,8 @@ def test_graph_plan_record(ray_session, caplog, monkeypatch, caller, below):
 
 
 def _count_executions(monkeypatch):
+    """A list that gets one entry per Ray Data execution started while the
+    test runs: the names of its physical operators, upstream first."""
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor,
     )
@@ -229,9 +231,17 @@ def _count_executions(monkeypatch):
     calls = []
     execute = StreamingExecutor.execute
 
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return execute(self, *args, **kwargs)
+    def counted(self, dag, *args, **kwargs):
+        names = []
+
+        def walk(op):
+            for dep in op.input_dependencies:
+                walk(dep)
+            names.append(op.name)
+
+        walk(dag)
+        calls.append(names)
+        return execute(self, dag, *args, **kwargs)
 
     monkeypatch.setattr(StreamingExecutor, "execute", counted)
     return calls
